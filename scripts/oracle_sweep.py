@@ -2,10 +2,14 @@
 """Cross-check the ladder bracket product against the fixpoint oracle.
 
 Sweeps seeded homogeneous pairs of generated CIF subspaces and demands
-exact table equality between the two independent algorithms.
+exact table equality between the two independent algorithms.  Every
+RANDOM_EVERY-th pair is instead a pair of random-degree tables, usually
+non-homogeneous, so the componentwise reading of the bracket is swept
+as well.
 """
 
 import argparse
+import random
 import sys
 import time
 
@@ -15,9 +19,13 @@ from ciflie import (
     bracket_product_oracle,
     first_difference,
     gen_pair,
+    gen_random_table,
     make_config,
     superalgebra_from_pairs,
 )
+
+
+RANDOM_EVERY = 5
 
 
 def main() -> int:
@@ -39,14 +47,19 @@ def main() -> int:
     mismatches = 0
     start = time.monotonic()
     for name, alg, pairs in (("H", H, args.pairs), ("L3", L3, args.pairs_dim3)):
+        random_pairs = 0
         for i in range(pairs):
-            cfg = make_config(args.seed + i, alg)
-            A, B = gen_pair(cfg, kind=args.kind)
+            if i % RANDOM_EVERY == RANDOM_EVERY - 1:
+                random_pairs += 1
+                rng = random.Random(f"{name}:{args.seed + i}")
+                A, B = gen_random_table(alg, rng), gen_random_table(alg, rng)
+            else:
+                A, B = gen_pair(make_config(args.seed + i, alg), kind=args.kind)
             diff = first_difference(bracket_product(A, B), bracket_product_oracle(A, B))
             if diff is not None:
                 mismatches += 1
                 print(f"MISMATCH {name} seed={args.seed + i} at {diff}")
-        print(f"{name}: {pairs} pairs checked")
+        print(f"{name}: {pairs} pairs checked, {random_pairs} of them random-degree")
     elapsed = time.monotonic() - start
     print(f"{mismatches} mismatches in {elapsed:.1f}s")
     return 1 if mismatches else 0

@@ -73,6 +73,7 @@ from .generators import (
     gen_cif_set,
     gen_cif_subspace,
     gen_pair,
+    gen_random_table,
     make_config,
     make_degree_pool,
 )

@@ -1,16 +1,29 @@
 """The CIF bracket product [A, B] and its independent cross-check.
 
-The production algorithm is a level-cut ladder: for each achievable
-degree threshold, take the span of all crisp brackets [a, b] whose
-argument degrees clear it, and read the degree of x off the highest cut
-containing x.  The sup over decompositions of unbounded length collapses
-to span membership because any span element is a finite combination of
-cut generators.
+The production algorithm is a level-cut ladder, run once per scalar
+component of the degree (mem r, mem w, non r, non w).  For a membership
+component c and a threshold t, the cut of [A, B] is the span of the
+crisp brackets [a, b] with c_A(a) >= t and c_B(b) >= t, and x takes the
+largest t whose cut holds it (0 when none does).  Non-membership
+components are dual: lower cuts, ascending thresholds, default 1.  The
+sup over decompositions of unbounded length collapses to span
+membership because any span element is a finite combination of cut
+generators.  Two facts make each cut cheap and exact:
 
-When the achievable degree values form a chain (they always do for
-homogeneous input pairs), the ladder runs jointly on amplitude-phase
-pairs.  Otherwise amplitude and phase ladders are computed independently
-(the componentwise reading of the sup) and the result carries a note.
+* min(c_A(a), c_B(b)) >= t exactly when c_A(a) >= t and c_B(b) >= t
+  (dually max <= t exactly when both are <= t), so the pairs clearing t
+  are the products of A's cut and B's cut.
+* By bilinearity, span{[a, b] : a in S, b in T} is spanned by the
+  brackets of a basis of span S with a basis of span T.
+
+So the thresholds are the values A and B take, and a sweep that
+brackets only the basis vectors new at each threshold against the other
+side's basis makes at most dim^2 bracket evaluations per component.  On
+homogeneous pairs the degree values form a chain and the componentwise
+reading is the joint amplitude-phase ladder; otherwise the result
+carries a note.  Whether the meets (joins) of the values form a chain is
+decided from the sorted distinct values of each side, without forming
+the k_A * k_B meets.
 
 The oracle is a dynamic-programming fixpoint over single-term values,
 sharing no span machinery with the ladder; agreement between the two is
@@ -19,10 +32,19 @@ the module's keystone correctness property.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .cifset import CIFSet, cif_sum, component_extension, is_z2_graded
+from .cifset import (
+    COMPONENTS,
+    CIFSet,
+    cif_sum,
+    component_extension,
+    is_z2_graded,
+    level_sets,
+)
 from .degrees import BOTTOM, CIFDegree, Degree, TOP, deg_join, deg_leq, deg_meet
 from .superalgebra import (
     SpanBuilder,
@@ -35,6 +57,7 @@ from .superalgebra import (
 )
 
 ORACLE_CARRIER_CAP = 81
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -52,85 +75,151 @@ class LevelCutLadder:
     cuts: tuple[SubspaceBasis, ...]
 
 
-def _degree_pairs(A: CIFSet, B: CIFSet):
-    """Per argument pair (a, b): the meet/join degree values and the
-    crisp bracket, grouped by value."""
-    alg = A.space
-    vectors = space_vectors(alg)
-    mem_groups: dict[Degree, list[Vector]] = {}
-    non_groups: dict[Degree, list[Vector]] = {}
-    for a in vectors:
-        da = A.table[a]
-        for b in vectors:
-            db = B.table[b]
-            g = bracket_eval(alg, a, b)
-            mem_groups.setdefault(deg_meet(da.mem, db.mem), []).append(g)
-            non_groups.setdefault(deg_join(da.non, db.non), []).append(g)
-    return mem_groups, non_groups
+def _cut_spans(alg, thresholds, enter_a: dict, enter_b: dict):
+    """Yield (t, span of the cut brackets) along ``thresholds``.
+
+    ``enter_a[t]`` lists the vectors that join A's cut at t.  Only the
+    vectors that raise the rank of a side's span are kept as its basis,
+    and only brackets with a new basis vector are taken, so the whole
+    sweep makes at most rank_A * rank_B bracket evaluations.  Nothing is
+    yielded before both cuts are nonempty: no pair clears those
+    thresholds, so they do not hold even the zero vector.
+    """
+    span_a = SpanBuilder(alg.field, alg.dim)
+    span_b = SpanBuilder(alg.field, alg.dim)
+    out = SpanBuilder(alg.field, alg.dim)
+    basis_a: list[Vector] = []
+    basis_b: list[Vector] = []
+    seen_a = seen_b = False
+    for t in thresholds:
+        group_a = enter_a.get(t, ())
+        group_b = enter_b.get(t, ())
+        seen_a = seen_a or bool(group_a)
+        seen_b = seen_b or bool(group_b)
+        new_a = [a for a in group_a if span_a.rank < alg.dim and span_a.add(a)]
+        new_b = [b for b in group_b if span_b.rank < alg.dim and span_b.add(b)]
+        basis_b += new_b
+        for a in new_a:
+            for b in basis_b:
+                out.add(bracket_eval(alg, a, b))
+        for a in basis_a:
+            for b in new_b:
+                out.add(bracket_eval(alg, a, b))
+        basis_a += new_a
+        if seen_a and seen_b:
+            yield t, out
 
 
-def _is_chain(values: list[Degree]) -> bool:
-    ordered = sorted(values, key=lambda d: (d.r, d.w))
-    return all(deg_leq(u, v) for u, v in zip(ordered, ordered[1:]))
+def _below_and_above(points: list, amps: list) -> list:
+    """Per amplitude t in ``amps``: the largest phase among ``points``
+    with amplitude below t and the least with amplitude t or more."""
+    points = sorted(points)
+    phases = [w for _, w in points]
+    below = list(accumulate(phases, max, initial=-INF))
+    above = list(accumulate(reversed(phases), min, initial=INF))[::-1]
+    keys = [r for r, _ in points]
+    return [(below[i], above[i]) for i in (bisect_left(keys, t) for t in amps)]
 
 
-def _sweep(alg, groups: dict, order: list, default):
-    """Assign each carrier vector the first threshold whose accumulated
-    cut contains it; ``order`` fixes the sweep direction."""
-    builder = SpanBuilder(alg.field, alg.dim)
-    unassigned = set(space_vectors(alg))
-    assignment = {}
-    cuts = []
-    for value in order:
-        for g in groups[value]:
-            builder.add(g)
-        cuts.append(builder.to_basis())
-        for x in [v for v in unassigned if builder.contains(v)]:
-            assignment[x] = value
-            unassigned.discard(x)
-    for x in unassigned:
-        assignment[x] = default
-    return assignment, cuts
+def _combined_values_form_chain(A: CIFSet, B: CIFSet, side: str) -> bool:
+    """Whether the meets (membership) or joins (non-membership) of A's
+    and B's values form a chain, decided without forming them.
+
+    Joins are meets of the negated values.  The meets fail to be a chain
+    exactly when, for some amplitude t among the inputs', a meet with
+    amplitude below t has a larger phase than one with amplitude t or
+    more.  A meet reaches t iff both arguments do, so the least phase
+    there is the smaller of the two sides' least phases at or above t;
+    a meet falls below t iff one argument does, so the largest phase
+    there pairs one side's largest phase below t with the other side's
+    largest phase overall.
+    """
+    sign = 1 if side == "mem" else -1
+    vectors = space_vectors(A.space)
+    left = list({(sign * d.r, sign * d.w) for d in (getattr(A.table[x], side) for x in vectors)})
+    right = list({(sign * d.r, sign * d.w) for d in (getattr(B.table[x], side) for x in vectors)})
+    amps = sorted({r for r, _ in left} | {r for r, _ in right})
+    top_left = max(w for _, w in left)
+    top_right = max(w for _, w in right)
+    for (below_l, above_l), (below_r, above_r) in zip(
+        _below_and_above(left, amps), _below_and_above(right, amps)
+    ):
+        if above_l == INF or above_r == INF:
+            continue  # no meet reaches t
+        if max(min(below_l, top_right), min(top_left, below_r)) > min(above_l, above_r):
+            return False
+    return True
+
+
+def _achievable(A: CIFSet, B: CIFSet, side: str) -> set[Degree]:
+    """Meets (membership) or joins (non-membership) of the argument
+    degrees: every pair of distinct values is taken by some (a, b)."""
+    combine = deg_meet if side == "mem" else deg_join
+    vectors = space_vectors(A.space)
+    left = {getattr(A.table[x], side) for x in vectors}
+    right = {getattr(B.table[x], side) for x in vectors}
+    return {combine(u, v) for u in left for v in right}
+
+
+def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
+    """Joint amplitude-phase ladder; the achievable values must be a chain."""
+    if A.space != B.space:
+        raise ValueError("CIF sets live on different spaces")
+    if not _combined_values_form_chain(A, B, side):
+        word = "membership" if side == "mem" else "non-membership"
+        raise ValueError(f"achievable {word} degrees do not form a chain")
+    mem = side == "mem"
+    order = sorted(_achievable(A, B, side), key=lambda d: (d.r, d.w), reverse=mem)
+
+    def entries(S: CIFSet) -> dict:
+        # a vector joins the first cut whose threshold its degree clears
+        first: dict[Degree, Degree | None] = {}
+        out: dict[Degree, list[Vector]] = {}
+        for x in space_vectors(S.space):
+            d = getattr(S.table[x], side)
+            if d not in first:
+                first[d] = next(
+                    (t for t in order if (deg_leq(t, d) if mem else deg_leq(d, t))), None
+                )
+            if first[d] is not None:
+                out.setdefault(first[d], []).append(x)
+        return out
+
+    cuts = [span.to_basis() for _, span in _cut_spans(A.space, order, entries(A), entries(B))]
+    return LevelCutLadder(side, tuple(order), tuple(cuts))
 
 
 def mem_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
     """Membership-side ladder; requires the achievable meets to be a chain."""
-    mem_groups, _ = _degree_pairs(A, B)
-    values = list(mem_groups)
-    if not _is_chain(values):
-        raise ValueError("achievable membership degrees do not form a chain")
-    order = sorted(values, key=lambda d: (d.r, d.w), reverse=True)
-    _, cuts = _sweep(A.space, mem_groups, order, BOTTOM)
-    return LevelCutLadder("mem", tuple(order), tuple(cuts))
+    return _level_ladder(A, B, "mem")
 
 
 def non_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
     """Non-membership-side ladder; ascending thresholds, <=-cuts."""
-    _, non_groups = _degree_pairs(A, B)
-    values = list(non_groups)
-    if not _is_chain(values):
-        raise ValueError("achievable non-membership degrees do not form a chain")
-    order = sorted(values, key=lambda d: (d.r, d.w))
-    _, cuts = _sweep(A.space, non_groups, order, TOP)
-    return LevelCutLadder("non", tuple(order), tuple(cuts))
+    return _level_ladder(A, B, "non")
 
 
-def _component_groups(groups: dict, attr: str) -> dict:
-    """Merge generator groups keyed by one scalar component of the degree."""
-    out: dict[Fraction, list[Vector]] = {}
-    for value, gens in groups.items():
-        out.setdefault(getattr(value, attr), []).extend(gens)
-    return out
+def _component(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool, default):
+    """One component of [A, B] in carrier order: each x takes the first
+    threshold whose cut span holds it, ``default`` when none does."""
+    alg = A.space
+    vectors = space_vectors(alg)
+    enter_a = dict(level_sets(A, side, attr, descending))
+    enter_b = dict(level_sets(B, side, attr, descending))
+    thresholds = sorted(enter_a.keys() | enter_b.keys(), reverse=descending)
+    value: dict[Vector, Fraction] = {}
+    rank = -1
+    for t, span in _cut_spans(alg, thresholds, enter_a, enter_b):
+        if span.rank > rank:
+            rank = span.rank
+            for x in span.to_basis().members():
+                value.setdefault(x, t)
+            if len(value) == len(vectors):
+                break
+    return [value.get(x, default) for x in vectors]
 
 
-def _component_sweep(alg, scalar_groups: dict, descending: bool, default: Fraction):
-    """Scalar ladder for one amplitude or phase component."""
-    order = sorted(scalar_groups, reverse=descending)
-    assignment, _ = _sweep(alg, scalar_groups, order, default)
-    return assignment
-
-
-def bracket_product(A: CIFSet, B: CIFSet, *, _force_componentwise: bool = False) -> CIFSet:
+def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     """The CIF bracket product of A and B.
 
     The degree at x is the largest threshold whose cut span contains x
@@ -142,35 +231,24 @@ def bracket_product(A: CIFSet, B: CIFSet, *, _force_componentwise: bool = False)
     if A.space != B.space:
         raise ValueError("CIF sets live on different spaces")
     alg = A.space
-    mem_groups, non_groups = _degree_pairs(A, B)
-    chain = _is_chain(list(mem_groups)) and _is_chain(list(non_groups))
-    notes = ()
-    if not chain or _force_componentwise:
-        if not chain:
-            notes = (
-                "bracket of a non-homogeneous pair: amplitude and phase "
-                "ladders computed independently",
-            )
-        mem_r = _component_sweep(alg, _component_groups(mem_groups, "r"), True, Fraction(0))
-        mem_w = _component_sweep(alg, _component_groups(mem_groups, "w"), True, Fraction(0))
-        non_r = _component_sweep(alg, _component_groups(non_groups, "r"), False, Fraction(1))
-        non_w = _component_sweep(alg, _component_groups(non_groups, "w"), False, Fraction(1))
-        table = {
-            x: CIFDegree(
-                Degree(mem_r[x], mem_w[x]), Degree(non_r[x], non_w[x])
-            )
-            for x in space_vectors(alg)
-        }
-        return CIFSet(alg, table, notes)
-
-    mem_order = sorted(mem_groups, key=lambda d: (d.r, d.w), reverse=True)
-    non_order = sorted(non_groups, key=lambda d: (d.r, d.w))
-    mem_assign, _ = _sweep(alg, mem_groups, mem_order, BOTTOM)
-    non_assign, _ = _sweep(alg, non_groups, non_order, TOP)
+    columns = [
+        _component(A, B, side, attr, descending, default)
+        for side, attr, descending, default in COMPONENTS
+    ]
     table = {
-        x: CIFDegree(mem_assign[x], non_assign[x]) for x in space_vectors(alg)
+        x: CIFDegree(Degree(mr, mw), Degree(nr, nw))
+        for x, mr, mw, nr, nw in zip(space_vectors(alg), *columns)
     }
-    return CIFSet(alg, table)
+    notes = ()
+    if not (
+        _combined_values_form_chain(A, B, "mem")
+        and _combined_values_form_chain(A, B, "non")
+    ):
+        notes = (
+            "bracket of a non-homogeneous pair: amplitude and phase "
+            "ladders computed independently",
+        )
+    return CIFSet(alg, table, notes)
 
 
 def bracket_product_oracle(

@@ -5,12 +5,38 @@ membership/non-membership degrees, pinned at the zero vector to full
 membership (mem TOP, non BOTTOM).  All operations are pure and exact;
 sups and infs over decompositions are componentwise maxima/minima over
 the finite carrier.
+
+The sum and the structural predicates work on level cuts, one scalar
+component at a time (mem r, mem w, non r, non w).  A membership
+component c has upper cuts {x : c(x) >= t}, swept in descending t; a
+non-membership component has lower cuts {x : c(x) <= t}, swept in
+ascending t.  The thresholds are the values the inputs take.  Every
+result equals its pairwise definition, for these reasons:
+
+* min(c(a), c(b)) >= t exactly when c(a) >= t and c(b) >= t, and
+  dually max(c(a), c(b)) <= t exactly when both are <= t.  So the cut
+  of a sum is the sumset of the cuts, (A + B)_t = A_t + B_t.
+* Pigeonhole: once |A_t| + |B_t| > |V|, the sets A_t and x - B_t meet
+  for every x, so A_t + B_t is the whole carrier and the sweep stops.
+* A is a CIF subspace exactly when every cut of every component is a
+  linear subspace.  Over F_p a nonempty set closed under + is closed
+  under scalars too, and the pairwise clauses say precisely that each
+  cut is closed under + and holds 0.  A cut U is a subspace exactly
+  when |U| = p^rank(span U).
+* Cut-ideal criterion: a CIF subspace absorbs the bracket exactly when
+  every cut U satisfies [u, v] in U and [v, u] in U for u in a basis of
+  U and v in a basis of V.  By bilinearity that covers all of [U, V].
+
+A failing predicate rescans its pairs in carrier order only to name the
+first witness, so its report reads as the pairwise definition's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .degrees import (
@@ -27,14 +53,15 @@ from .degrees import (
 from .report import Report
 from .superalgebra import (
     GradedMap,
+    SpanBuilder,
     Superalgebra,
     Vector,
     apply_map,
     bracket_eval,
     graded_split,
     space_vectors,
+    vec_add,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -118,26 +145,45 @@ def subset_of(A: CIFSet, B: CIFSet) -> bool:
 
 def is_homogeneous(A: CIFSet) -> Report:
     """Amplitude order and phase order agree on every pair, on both sides."""
-    vectors = space_vectors(A.space)
-    for x in vectors:
-        dx = A.table[x]
-        for y in vectors:
-            dy = A.table[y]
-            if (dx.mem.r <= dy.mem.r) != (dx.mem.w <= dy.mem.w):
-                return Report(False, (f"membership side disagrees at ({x}, {y})",))
-            if (dx.non.r <= dy.non.r) != (dx.non.w <= dy.non.w):
-                return Report(False, (f"non-membership side disagrees at ({x}, {y})",))
-    return Report(True)
+    return pair_homogeneous(A, A)
+
+
+def _clashing(values: set[Degree], others: set[Degree]) -> set[Degree]:
+    """The u in ``values`` that some v in ``others`` orders differently
+    by amplitude and by phase: u.r <= v.r with u.w > v.w, or u.r > v.r
+    with u.w <= v.w.  Sorting ``others`` by amplitude turns each test
+    into a prefix maximum and a suffix minimum of the phases."""
+    ordered = sorted(others, key=lambda d: d.r)
+    amps = [d.r for d in ordered]
+    phases = [d.w for d in ordered]
+    # prefix_max[i] bounds the phases of ordered[:i], suffix_min[i] of ordered[i:]
+    prefix_max = list(accumulate(phases, max, initial=Fraction(-1)))
+    suffix_min = list(accumulate(reversed(phases), min, initial=Fraction(2)))[::-1]
+    out = set()
+    for u in values:
+        i = bisect_left(amps, u.r)  # ordered[i:] are the v with v.r >= u.r
+        if suffix_min[i] < u.w or prefix_max[i] >= u.w:
+            out.add(u)
+    return out
 
 
 def pair_homogeneous(A: CIFSet, B: CIFSet) -> Report:
-    """Cross-set version: A's degrees compare consistently against B's."""
+    """Cross-set version: A's degrees compare consistently against B's.
+
+    Decided on the distinct degree values; on failure the pairs are
+    scanned in carrier order, from the rows whose value clashes, for
+    the first witness.
+    """
     _same_space(A, B)
     vectors = space_vectors(A.space)
-    for x in vectors:
-        dx = A.table[x]
-        for y in vectors:
-            dy = B.table[y]
+    a_degrees = [A.table[x] for x in vectors]
+    b_degrees = [B.table[y] for y in vectors]
+    bad_mem = _clashing({d.mem for d in a_degrees}, {d.mem for d in b_degrees})
+    bad_non = _clashing({d.non for d in a_degrees}, {d.non for d in b_degrees})
+    for x, dx in zip(vectors, a_degrees):
+        if dx.mem not in bad_mem and dx.non not in bad_non:
+            continue
+        for y, dy in zip(vectors, b_degrees):
             if (dx.mem.r <= dy.mem.r) != (dx.mem.w <= dy.mem.w):
                 return Report(False, (f"membership side disagrees at ({x}, {y})",))
             if (dx.non.r <= dy.non.r) != (dx.non.w <= dy.non.w):
@@ -145,8 +191,53 @@ def pair_homogeneous(A: CIFSet, B: CIFSet) -> Report:
     return Report(True)
 
 
+# The four scalar components of a degree: (side, attribute, whether the
+# cuts are upper cuts swept in descending order, value off every cut).
+COMPONENTS = (
+    ("mem", "r", True, Fraction(0)),
+    ("mem", "w", True, Fraction(0)),
+    ("non", "r", False, Fraction(1)),
+    ("non", "w", False, Fraction(1)),
+)
+
+
+def level_sets(A: CIFSet, side: str, attr: str, descending: bool) -> list:
+    """(value, vectors taking it) for one component, in sweep order, so
+    the cut at the i-th value is the union of the first i + 1 groups."""
+    groups: dict[Fraction, list[Vector]] = {}
+    for x in space_vectors(A.space):
+        groups.setdefault(getattr(getattr(A.table[x], side), attr), []).append(x)
+    return sorted(groups.items(), reverse=descending)
+
+
+def _cuts_are_subspaces(A: CIFSet) -> bool:
+    alg = A.space
+    p = alg.field.p
+    for side, attr, descending, _ in COMPONENTS:
+        span = SpanBuilder(alg.field, alg.dim)
+        size = 0
+        for _, xs in level_sets(A, side, attr, descending):
+            for x in xs:
+                if span.rank < alg.dim:
+                    span.add(x)
+            size += len(xs)
+            if size != p ** span.rank:
+                return False
+    return True
+
+
 def is_cif_subspace(A: CIFSet) -> Report:
-    """Membership superadditive under + and scalars, non-membership dual."""
+    """Membership superadditive under + and scalars, non-membership dual.
+
+    Decided by the cut criterion; a failure is rescanned for its witness.
+    """
+    if _cuts_are_subspaces(A):
+        return Report(True)
+    return _subspace_witness(A)
+
+
+def _subspace_witness(A: CIFSet) -> Report:
+    """The pairwise subspace clauses, scanned in carrier order."""
     alg = A.space
     p = alg.field.p
     vectors = space_vectors(alg)
@@ -187,13 +278,44 @@ def is_z2_graded(A: CIFSet) -> Report:
 
 def is_cif_ideal(A: CIFSet) -> Report:
     """Graded CIF subspace absorbing the bracket: the degree of [x, y]
-    dominates the join of the degrees of x and y."""
+    dominates the join of the degrees of x and y.
+
+    The bracket clause is decided by the cut-ideal criterion; a failure
+    is rescanned for its witness.
+    """
     sub = is_cif_subspace(A)
     if not sub:
         return Report(False, (f"subspace clause: {sub.witness}",))
     graded = is_z2_graded(A)
     if not graded:
         return Report(False, (f"grading clause: {graded.witness}",))
+    if _cuts_absorb_bracket(A):
+        return Report(True)
+    return _bracket_clause_witness(A)
+
+
+def _cuts_absorb_bracket(A: CIFSet) -> bool:
+    """Each cut, already known to be a subspace, holds the brackets of
+    its basis with the carrier's basis on both sides.  A basis vector
+    is checked at the cut it enters; the later cuts contain that one."""
+    alg = A.space
+    basis = [alg.basis(j) for j in range(alg.dim)]
+    for side, attr, descending, _ in COMPONENTS:
+        span = SpanBuilder(alg.field, alg.dim)
+        for t, xs in level_sets(A, side, attr, descending):
+            for x in xs:
+                if span.rank == alg.dim or not span.add(x):
+                    continue
+                for e in basis:
+                    for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x)):
+                        c = getattr(getattr(A.table[g], side), attr)
+                        if (c < t) if descending else (c > t):
+                            return False
+    return True
+
+
+def _bracket_clause_witness(A: CIFSet) -> Report:
+    """The pairwise bracket clause, scanned in carrier order."""
     alg = A.space
     vectors = space_vectors(alg)
     for x in vectors:
@@ -233,32 +355,54 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
     "no decomposition" branch of the definition never fires here.  A
     non-homogeneous input pair is accepted; the result then carries a
     provenance note recording that the componentwise reading was used.
+    Each component is read off the sumsets of the cuts.
     """
     alg = _same_space(A, B)
-    p = alg.field.p
     vectors = space_vectors(alg)
-    table: dict[Vector, CIFDegree] = {}
-    for x in vectors:
-        mr = mw = Fraction(0)
-        nr = nw = Fraction(1)
-        for a in vectors:
-            b = vec_sub(p, x, a)
-            da, db = A.table[a], B.table[b]
-            m = deg_meet(da.mem, db.mem)
-            n = deg_join(da.non, db.non)
-            if m.r > mr:
-                mr = m.r
-            if m.w > mw:
-                mw = m.w
-            if n.r < nr:
-                nr = n.r
-            if n.w < nw:
-                nw = n.w
-        table[x] = CIFDegree(Degree(mr, mw), Degree(nr, nw))
+    columns = [
+        _sum_component(A, B, side, attr, descending)
+        for side, attr, descending, _ in COMPONENTS
+    ]
+    table = {
+        x: CIFDegree(Degree(mr, mw), Degree(nr, nw))
+        for x, mr, mw, nr, nw in zip(vectors, *columns)
+    }
     notes = ()
     if not pair_homogeneous(A, B):
         notes = ("sum of a non-homogeneous pair: componentwise reading applied",)
     return CIFSet(alg, table, notes)
+
+
+def _sum_component(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool) -> list:
+    """One component of A + B, carrier order: each x takes the first
+    threshold whose sumset A_t + B_t holds it.  The sumset grows by the
+    pairs that involve a vector new at t."""
+    alg = A.space
+    p = alg.field.p
+    vectors = space_vectors(alg)
+    levels_a = dict(level_sets(A, side, attr, descending))
+    levels_b = dict(level_sets(B, side, attr, descending))
+    value: dict[Vector, Fraction] = {}
+    cut_a: list[Vector] = []
+    cut_b: list[Vector] = []
+    for t in sorted(levels_a.keys() | levels_b.keys(), reverse=descending):
+        new_a = levels_a.get(t, [])
+        new_b = levels_b.get(t, [])
+        if len(cut_a) + len(new_a) + len(cut_b) + len(new_b) > len(vectors):
+            for x in vectors:
+                value.setdefault(x, t)
+            break
+        cut_b += new_b
+        for a in new_a:
+            for b in cut_b:
+                value.setdefault(vec_add(p, a, b), t)
+        for a in cut_a:
+            for b in new_b:
+                value.setdefault(vec_add(p, a, b), t)
+        cut_a += new_a
+        if len(value) == len(vectors):
+            break
+    return [value[x] for x in vectors]
 
 
 def intersection(A: CIFSet, B: CIFSet) -> CIFSet:

@@ -294,6 +294,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     ws, data = _load(args.file)
     problems = _validate_workspace(ws)
     if problems:
@@ -306,6 +308,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"unknown theorem id '{theorem}'; known: {', '.join(sorted(known))}"
         )
+    if not ws.algebras:
+        raise UsageError(f"'{args.file}' declares no space, so there is nothing to verify")
     runs = []
     all_passed = True
     for name in sorted(ws.algebras):

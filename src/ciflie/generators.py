@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cifset import CIFSet, make_cifset
-from .degrees import CIFDegree, Degree, EMPTY, FULL
+from .degrees import CIFDegree, Degree, EMPTY, FULL, cif_degree
 from .superalgebra import (
     GradedMap,
     SpanBuilder,
@@ -213,6 +213,28 @@ def gen_cif_set(cfg: GenConfig, rng: random.Random | None = None) -> CIFSet:
     return make_cifset(alg, entries, EMPTY)
 
 
+def gen_random_table(
+    alg: Superalgebra, rng: random.Random, palette: int = 24, grid: int = 60
+) -> CIFSet:
+    """A random-degree table, usually non-homogeneous: every nonzero
+    vector takes one of ``palette`` random degrees on a 1/grid lattice."""
+    degrees = []
+    for _ in range(palette):
+        mr = rng.randint(0, grid)
+        nr = rng.randint(0, grid - mr)
+        degrees.append(
+            cif_degree(
+                Fraction(mr, grid),
+                Fraction(rng.randint(0, grid), grid),
+                Fraction(nr, grid),
+                Fraction(rng.randint(0, grid), grid),
+            )
+        )
+    zero = alg.zero()
+    entries = [(x, rng.choice(degrees)) for x in space_vectors(alg) if x != zero]
+    return make_cifset(alg, entries, EMPTY)
+
+
 _PAIR_KINDS = ("set", "subspace", "graded", "ideal")
 
 
@@ -305,6 +327,7 @@ __all__ = [
     "gen_cif_set",
     "gen_cif_subspace",
     "gen_pair",
+    "gen_random_table",
     "make_config",
     "make_degree_pool",
     "trial_config",

@@ -29,3 +29,15 @@ def L3(F3):
 def AB2(F3):
     """Abelian algebra on one even and one odd coordinate."""
     return abelian_superalgebra(F3, (0, 1))
+
+
+@pytest.fixture(scope="session")
+def L5(F3):
+    """Five-dimensional algebra (|V| = 243): e = b0 even and central,
+    [b1,b1] = e, [b1,b2] = e, [b2,b2] = 2e, [b4,b4] = e."""
+    e = (1, 0, 0, 0, 0)
+    return superalgebra_from_pairs(
+        F3,
+        (0, 1, 1, 0, 1),
+        {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0, 0), (4, 4): e},
+    )

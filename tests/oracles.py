@@ -1,0 +1,210 @@
+"""Quadratic definitions of the level-cut operations, for tests only.
+
+Each function here is the pairwise reading of an operation that
+``ciflie`` computes from level cuts: the bracket ladder over all |V|^2
+argument pairs, the sum over all decompositions, and the subspace,
+ideal and homogeneity predicates over all pairs.  They share no cut
+machinery with the package, so agreement between the two is a check of
+the cut identities, including the notes and the witnesses.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from ciflie import (
+    BOTTOM,
+    CIFDegree,
+    CIFSet,
+    Degree,
+    LevelCutLadder,
+    Report,
+    SpanBuilder,
+    TOP,
+    bracket_eval,
+    deg_join,
+    deg_leq,
+    deg_meet,
+    is_z2_graded,
+    space_vectors,
+)
+from ciflie.superalgebra import vec_scale, vec_sub
+
+
+def _degree_pairs(A: CIFSet, B: CIFSet):
+    """Per argument pair (a, b): the meet/join degree values and the
+    crisp bracket, grouped by value."""
+    alg = A.space
+    vectors = space_vectors(alg)
+    mem_groups: dict[Degree, list] = {}
+    non_groups: dict[Degree, list] = {}
+    for a in vectors:
+        da = A.table[a]
+        for b in vectors:
+            db = B.table[b]
+            g = bracket_eval(alg, a, b)
+            mem_groups.setdefault(deg_meet(da.mem, db.mem), []).append(g)
+            non_groups.setdefault(deg_join(da.non, db.non), []).append(g)
+    return mem_groups, non_groups
+
+
+def _is_chain(values) -> bool:
+    ordered = sorted(values, key=lambda d: (d.r, d.w))
+    return all(deg_leq(u, v) for u, v in zip(ordered, ordered[1:]))
+
+
+def _sweep(alg, groups: dict, order: list, default):
+    """Assign each carrier vector the first threshold whose accumulated
+    cut contains it; ``order`` fixes the sweep direction."""
+    builder = SpanBuilder(alg.field, alg.dim)
+    unassigned = set(space_vectors(alg))
+    assignment = {}
+    cuts = []
+    for value in order:
+        for g in groups[value]:
+            builder.add(g)
+        cuts.append(builder.to_basis())
+        for x in [v for v in unassigned if builder.contains(v)]:
+            assignment[x] = value
+            unassigned.discard(x)
+    for x in unassigned:
+        assignment[x] = default
+    return assignment, cuts
+
+
+def quadratic_level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
+    """Joint ladder of one side from all pair values; requires a chain."""
+    mem_groups, non_groups = _degree_pairs(A, B)
+    groups = mem_groups if side == "mem" else non_groups
+    if not _is_chain(list(groups)):
+        raise ValueError("achievable degrees do not form a chain")
+    order = sorted(groups, key=lambda d: (d.r, d.w), reverse=side == "mem")
+    _, cuts = _sweep(A.space, groups, order, BOTTOM if side == "mem" else TOP)
+    return LevelCutLadder(side, tuple(order), tuple(cuts))
+
+
+def joint_ladder_bracket(A: CIFSet, B: CIFSet) -> CIFSet:
+    """The bracket product from joint amplitude-phase ladders over all
+    pairs; only defined when the achievable values form chains."""
+    alg = A.space
+    mem_groups, non_groups = _degree_pairs(A, B)
+    if not (_is_chain(list(mem_groups)) and _is_chain(list(non_groups))):
+        raise ValueError("achievable degrees do not form a chain")
+    mem_order = sorted(mem_groups, key=lambda d: (d.r, d.w), reverse=True)
+    non_order = sorted(non_groups, key=lambda d: (d.r, d.w))
+    mem_assign, _ = _sweep(alg, mem_groups, mem_order, BOTTOM)
+    non_assign, _ = _sweep(alg, non_groups, non_order, TOP)
+    table = {x: CIFDegree(mem_assign[x], non_assign[x]) for x in space_vectors(alg)}
+    return CIFSet(alg, table)
+
+
+def _component_groups(groups: dict, attr: str) -> dict:
+    out: dict[Fraction, list] = {}
+    for value, gens in groups.items():
+        out.setdefault(getattr(value, attr), []).extend(gens)
+    return out
+
+
+def quadratic_bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
+    """The ladder over all |V|^2 pairs: joint on chains, otherwise one
+    scalar ladder per component with the non-homogeneous note."""
+    alg = A.space
+    mem_groups, non_groups = _degree_pairs(A, B)
+    if _is_chain(list(mem_groups)) and _is_chain(list(non_groups)):
+        return joint_ladder_bracket(A, B)
+
+    def component(groups, attr, descending, default):
+        scalar = _component_groups(groups, attr)
+        order = sorted(scalar, reverse=descending)
+        assignment, _ = _sweep(alg, scalar, order, default)
+        return assignment
+
+    mem_r = component(mem_groups, "r", True, Fraction(0))
+    mem_w = component(mem_groups, "w", True, Fraction(0))
+    non_r = component(non_groups, "r", False, Fraction(1))
+    non_w = component(non_groups, "w", False, Fraction(1))
+    table = {
+        x: CIFDegree(Degree(mem_r[x], mem_w[x]), Degree(non_r[x], non_w[x]))
+        for x in space_vectors(alg)
+    }
+    notes = (
+        "bracket of a non-homogeneous pair: amplitude and phase "
+        "ladders computed independently",
+    )
+    return CIFSet(alg, table, notes)
+
+
+def quadratic_pair_homogeneous(A: CIFSet, B: CIFSet) -> Report:
+    vectors = space_vectors(A.space)
+    for x in vectors:
+        dx = A.table[x]
+        for y in vectors:
+            dy = B.table[y]
+            if (dx.mem.r <= dy.mem.r) != (dx.mem.w <= dy.mem.w):
+                return Report(False, (f"membership side disagrees at ({x}, {y})",))
+            if (dx.non.r <= dy.non.r) != (dx.non.w <= dy.non.w):
+                return Report(False, (f"non-membership side disagrees at ({x}, {y})",))
+    return Report(True)
+
+
+def quadratic_cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
+    """Componentwise sup over all decompositions x = a + b."""
+    alg = A.space
+    p = alg.field.p
+    vectors = space_vectors(alg)
+    table = {}
+    for x in vectors:
+        mr = mw = Fraction(0)
+        nr = nw = Fraction(1)
+        for a in vectors:
+            b = vec_sub(p, x, a)
+            da, db = A.table[a], B.table[b]
+            m = deg_meet(da.mem, db.mem)
+            n = deg_join(da.non, db.non)
+            mr, mw = max(mr, m.r), max(mw, m.w)
+            nr, nw = min(nr, n.r), min(nw, n.w)
+        table[x] = CIFDegree(Degree(mr, mw), Degree(nr, nw))
+    notes = ()
+    if not quadratic_pair_homogeneous(A, B):
+        notes = ("sum of a non-homogeneous pair: componentwise reading applied",)
+    return CIFSet(alg, table, notes)
+
+
+def quadratic_is_cif_subspace(A: CIFSet) -> Report:
+    alg = A.space
+    p = alg.field.p
+    vectors = space_vectors(alg)
+    for x in vectors:
+        for alpha in alg.field.elements:
+            ax = vec_scale(p, alpha, x)
+            if not deg_leq(A.mem(x), A.mem(ax)):
+                return Report(False, (f"scalar (membership): x={x}, alpha={alpha}",))
+            if not deg_leq(A.non(ax), A.non(x)):
+                return Report(False, (f"scalar (non-membership): x={x}, alpha={alpha}",))
+    for x in vectors:
+        for y in vectors:
+            s = tuple((a + b) % p for a, b in zip(x, y))
+            if not deg_leq(deg_meet(A.mem(x), A.mem(y)), A.mem(s)):
+                return Report(False, (f"additivity (membership): x={x}, y={y}",))
+            if not deg_leq(A.non(s), deg_join(A.non(x), A.non(y))):
+                return Report(False, (f"additivity (non-membership): x={x}, y={y}",))
+    return Report(True)
+
+
+def quadratic_is_cif_ideal(A: CIFSet) -> Report:
+    sub = quadratic_is_cif_subspace(A)
+    if not sub:
+        return Report(False, (f"subspace clause: {sub.witness}",))
+    graded = is_z2_graded(A)
+    if not graded:
+        return Report(False, (f"grading clause: {graded.witness}",))
+    alg = A.space
+    vectors = space_vectors(alg)
+    for x in vectors:
+        for y in vectors:
+            bxy = bracket_eval(alg, x, y)
+            if not deg_leq(deg_join(A.mem(x), A.mem(y)), A.mem(bxy)):
+                return Report(False, (f"bracket clause (membership): x={x}, y={y}",))
+            if not deg_leq(A.non(bxy), deg_meet(A.non(x), A.non(y))):
+                return Report(False, (f"bracket clause (non-membership): x={x}, y={y}",))
+    return Report(True)

@@ -24,6 +24,7 @@ from ciflie import (
     trivial_cifset,
 )
 from ciflie.generators import gen_cif_set, gen_pair, make_config
+from oracles import joint_ladder_bracket, quadratic_level_ladder
 
 E, F = (1, 0), (0, 1)
 D_MAIN = cif_degree("2/3", "1/2", "1/4", "1/3")
@@ -86,13 +87,15 @@ def test_oracle_equivalence_on_arbitrary_homogeneous_sets(H):
 
 
 def test_componentwise_path_agrees_on_chain_inputs(H, L3):
+    # on homogeneous pairs the per-component cut ladders give the joint
+    # amplitude-phase ladder of the pairwise definition
     for alg in (H, L3):
         for seed in range(10):
             cfg = make_config(seed, alg)
             A, B = gen_pair(cfg, kind="subspace")
-            joint = bracket_product(A, B)
-            split = bracket_product(A, B, _force_componentwise=True)
-            assert first_difference(joint, split) is None
+            split = bracket_product(A, B)
+            assert split.notes == ()
+            assert first_difference(joint_ladder_bracket(A, B), split) is None
 
 
 def test_non_homogeneous_inputs_flagged(H):
@@ -141,6 +144,14 @@ def test_ladder_structure(H):
     dual = non_level_ladder(A, A)
     for lo, hi in zip(dual.thresholds, dual.thresholds[1:]):
         assert deg_leq(lo, hi) and lo != hi
+
+
+def test_ladders_match_pairwise_ladders(H, L3):
+    for alg in (H, L3):
+        for seed in range(6):
+            A, B = gen_pair(make_config(seed, alg), kind="set")
+            assert mem_level_ladder(A, B) == quadratic_level_ladder(A, B, "mem")
+            assert non_level_ladder(A, B) == quadratic_level_ladder(A, B, "non")
 
 
 def test_ladder_requires_chain(H):

@@ -232,3 +232,20 @@ def test_color_disabled_in_reports(spec_file, capsys, monkeypatch):
     monkeypatch.setenv("COLOR", "0")
     run_cli(["check", "subspace", spec_file, "--name", "A"])
     assert "\x1b[" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_verify_rejects_trial_counts_below_one(spec_file, capsys, trials):
+    assert run_cli(["verify", "lem-5", spec_file, "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "--trials must be at least 1" in captured.err
+
+
+def test_verify_rejects_file_without_space(tmp_path, capsys):
+    path = tmp_path / "empty.spec"
+    path.write_text("field 3\n", encoding="utf-8")
+    assert run_cli(["verify", "lem-5", str(path), "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "declares no space" in captured.err

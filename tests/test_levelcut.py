@@ -1,0 +1,259 @@
+"""The level-cut operations against their pairwise definitions.
+
+``bracket_product``, ``cif_sum``, ``is_cif_subspace``, ``is_cif_ideal``
+and ``pair_homogeneous`` are computed from level cuts; ``oracles`` holds
+their quadratic readings.  Agreement means the same table, the same
+notes and the same report, witness included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ciflie.bracket as bracket_module
+from ciflie import (
+    CIFSet,
+    EMPTY,
+    SpanBuilder,
+    bracket_eval,
+    bracket_product,
+    bracket_product_oracle,
+    cif_degree,
+    cif_sum,
+    first_difference,
+    is_cif_ideal,
+    is_cif_subspace,
+    is_homogeneous,
+    make_cifset,
+    pair_homogeneous,
+    space_vectors,
+    validate_superalgebra,
+)
+from ciflie.generators import gen_pair, gen_random_table, make_config
+from oracles import (
+    quadratic_bracket_product,
+    quadratic_cif_sum,
+    quadratic_is_cif_ideal,
+    quadratic_is_cif_subspace,
+    quadratic_pair_homogeneous,
+)
+
+GRID = 4
+PAIR_KINDS = ("set", "subspace", "graded", "ideal")
+
+
+@st.composite
+def cif_degrees(draw):
+    mr = draw(st.integers(0, GRID))
+    nr = draw(st.integers(0, GRID - mr))
+    mw = draw(st.integers(0, GRID))
+    nw = draw(st.integers(0, GRID))
+    return cif_degree(Fraction(mr, GRID), Fraction(mw, GRID), Fraction(nr, GRID), Fraction(nw, GRID))
+
+
+@st.composite
+def tables(draw, alg, pinned=True):
+    """A table over a small random palette: often non-homogeneous, with
+    repeated values so cuts have several members."""
+    palette = draw(st.lists(cif_degrees(), min_size=1, max_size=4))
+    vectors = [v for v in space_vectors(alg) if v != alg.zero() or not pinned]
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=len(vectors), max_size=len(vectors)))
+    entries = [(v, palette[i]) for v, i in zip(vectors, picks)]
+    if pinned:
+        return make_cifset(alg, entries, EMPTY)
+    return CIFSet(alg, dict(entries))
+
+
+@st.composite
+def generated(draw, alg):
+    """One set of a seeded homogeneous pair of the given kind."""
+    seed = draw(st.integers(0, 2**32))
+    kind = draw(st.sampled_from(PAIR_KINDS))
+    return gen_pair(make_config(seed, alg), kind=kind)[draw(st.integers(0, 1))]
+
+
+def cif_sets(alg):
+    return st.one_of(tables(alg), generated(alg))
+
+
+def random_table(alg, rng):
+    return gen_random_table(alg, rng, palette=6, grid=12)
+
+
+def assert_same_set(got, want):
+    assert first_difference(got, want) is None
+    assert got.notes == want.notes
+
+
+def assert_same_predicates(S):
+    assert is_cif_subspace(S) == quadratic_is_cif_subspace(S)
+    assert is_cif_ideal(S) == quadratic_is_cif_ideal(S)
+    assert is_homogeneous(S) == quadratic_pair_homogeneous(S, S)
+
+
+@pytest.fixture(scope="module", params=["H", "L3"])
+def alg(request):
+    return request.getfixturevalue(request.param)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_pairwise_ladder(alg, data):
+    A, B = data.draw(cif_sets(alg)), data.draw(cif_sets(alg))
+    assert_same_set(bracket_product(A, B), quadratic_bracket_product(A, B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sum_matches_pairwise_sum(alg, data):
+    A, B = data.draw(cif_sets(alg)), data.draw(cif_sets(alg))
+    assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_predicates_match_pairwise_definitions(alg, data):
+    A, B = data.draw(cif_sets(alg)), data.draw(cif_sets(alg))
+    assert pair_homogeneous(A, B) == quadratic_pair_homogeneous(A, B)
+    for S in (A, cif_sum(A, B), bracket_product(A, B)):
+        assert_same_predicates(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unpinned_tables_match_pairwise_definitions(H, data):
+    # the cut identities do not lean on the zero pin
+    A, B = data.draw(tables(H, pinned=False)), data.draw(tables(H, pinned=False))
+    assert_same_set(bracket_product(A, B), quadratic_bracket_product(A, B))
+    assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
+    assert pair_homogeneous(A, B) == quadratic_pair_homogeneous(A, B)
+    assert_same_predicates(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_non_homogeneous_bracket_matches_fixpoint_oracle(H, data):
+    A, B = data.draw(tables(H)), data.draw(tables(H))
+    assert first_difference(bracket_product(A, B), bracket_product_oracle(A, B)) is None
+
+
+def distinct_chain_table(alg, rng, broken):
+    """Every nonzero vector gets its own degree on one chain; ``broken``
+    swaps the membership phase of one vector so a single value leaves
+    the chain."""
+    vectors = [x for x in space_vectors(alg) if x != alg.zero()]
+    n = len(vectors)
+    levels = rng.sample(range(n), n)
+    degrees = [cif_degree(Fraction(i, n), Fraction(i, n), Fraction(n - i, n), Fraction(n - i, n)) for i in levels]
+    if broken:
+        k = levels.index(0)
+        degrees[k] = cif_degree(0, 1, 1, 1)
+    return make_cifset(alg, list(zip(vectors, degrees)), EMPTY)
+
+
+def test_notes_match_pairwise_chain_test_on_distinct_values(H, L3):
+    """The note's chain test works on sorted distinct values; with a
+    fresh degree per vector it must still match the test over all
+    pairs, with both verdicts seen."""
+    notes = set()
+    for alg in (H, L3):
+        for seed in range(12):
+            rng = random.Random(seed)
+            A = distinct_chain_table(alg, rng, broken=seed % 3 == 1)
+            B = distinct_chain_table(alg, rng, broken=seed % 3 == 2)
+            for X, Y in ((A, B), (A, gen_random_table(alg, rng, palette=alg.size, grid=60))):
+                got = bracket_product(X, Y)
+                assert_same_set(got, quadratic_bracket_product(X, Y))
+                notes.add(got.notes)
+    assert len(notes) == 2
+
+
+def test_predicate_agreement_sees_both_outcomes(H, L3):
+    """The seeded corpus passes and fails every predicate, and fails each
+    through more than one clause, so agreement is not vacuous."""
+    outcomes = {"subspace": set(), "ideal": set(), "homogeneous": set()}
+    witnesses = set()
+    for alg in (H, L3):
+        for seed in range(12):
+            rng = random.Random(seed)
+            A, B = gen_pair(make_config(seed, alg), kind=PAIR_KINDS[seed % 4])
+            N = random_table(alg, rng)
+            for S in (A, N, cif_sum(A, N), bracket_product(A, B), bracket_product(N, A)):
+                assert_same_predicates(S)
+                for name, rep in (
+                    ("subspace", is_cif_subspace(S)),
+                    ("ideal", is_cif_ideal(S)),
+                    ("homogeneous", is_homogeneous(S)),
+                ):
+                    outcomes[name].add(rep.ok)
+                    if not rep.ok:
+                        witnesses.add(rep.witness.split(":")[0])
+            assert pair_homogeneous(A, N) == quadratic_pair_homogeneous(A, N)
+    assert all(seen == {True, False} for seen in outcomes.values())
+    assert {"scalar (membership)", "subspace clause", "bracket clause (membership)"} <= witnesses
+
+
+def test_l5_bracket_matches_pairwise_ladder(L5):
+    # |V| = 243 is beyond the fixpoint oracle's cap, so the quadratic
+    # ladder is the reference here
+    assert validate_superalgebra(L5).ok
+    rng = random.Random(5)
+    pairs = [
+        gen_pair(make_config(5, L5), kind="subspace"),
+        (gen_random_table(L5, rng), gen_random_table(L5, rng)),
+    ]
+    for A, B in pairs:
+        assert_same_set(bracket_product(A, B), quadratic_bracket_product(A, B))
+    assert bracket_product(*pairs[1]).notes
+
+
+def test_bracket_evaluations_bounded_by_four_dim_squared(L5, monkeypatch):
+    calls = []
+
+    def counted(alg, x, y):
+        calls.append(1)
+        return bracket_eval(alg, x, y)
+
+    monkeypatch.setattr(bracket_module, "bracket_eval", counted)
+    rng = random.Random(7)
+    A, B = gen_random_table(L5, rng), gen_random_table(L5, rng)
+    bracket_product(A, B)
+    assert 0 < len(calls) <= 4 * L5.dim ** 2
+
+
+CUT_SPANS = bracket_module._cut_spans
+
+
+def _drop_top_threshold(alg, thresholds, enter_a, enter_b):
+    yield from CUT_SPANS(alg, thresholds[1:], enter_a, enter_b)
+
+
+def _skip_old_a_new_b(alg, thresholds, enter_a, enter_b):
+    """The cut kernel without the [old basis_A, new basis_B] brackets."""
+    span_a = SpanBuilder(alg.field, alg.dim)
+    span_b = SpanBuilder(alg.field, alg.dim)
+    out = SpanBuilder(alg.field, alg.dim)
+    basis_b = []
+    for t in thresholds:
+        new_a = [a for a in enter_a.get(t, ()) if span_a.add(a)]
+        basis_b += [b for b in enter_b.get(t, ()) if span_b.add(b)]
+        for a in new_a:
+            for b in basis_b:
+                out.add(bracket_eval(alg, a, b))
+        yield t, out
+
+
+@pytest.mark.parametrize("mutant", [_drop_top_threshold, _skip_old_a_new_b])
+def test_mutated_cut_kernel_is_caught(H, L3, monkeypatch, mutant):
+    monkeypatch.setattr(bracket_module, "_cut_spans", mutant)
+    caught = 0
+    for alg in (H, L3):
+        for seed in range(10):
+            A, B = gen_pair(make_config(seed, alg), kind="subspace")
+            for X, Y in ((A, B), (B, A)):
+                got, want = bracket_product(X, Y), quadratic_bracket_product(X, Y)
+                if first_difference(got, want) is not None:
+                    caught += 1
+    assert caught > 0
