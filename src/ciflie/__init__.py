@@ -28,7 +28,6 @@ from .superalgebra import (
     abelian_superalgebra,
     apply_map,
     bracket_eval,
-    fiber,
     graded_split,
     is_surjective,
     space_vectors,

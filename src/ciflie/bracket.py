@@ -32,18 +32,20 @@ the module's keystone correctness property.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .cifset import (
     COMPONENTS,
+    INF,
     CIFSet,
+    _same_space,
     cif_sum,
     component_extension,
+    from_columns,
     is_z2_graded,
     level_sets,
+    phase_bounds,
 )
 from .degrees import BOTTOM, CIFDegree, Degree, TOP, deg_join, deg_leq, deg_meet
 from .superalgebra import (
@@ -57,7 +59,6 @@ from .superalgebra import (
 )
 
 ORACLE_CARRIER_CAP = 81
-INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,6 @@ def _cut_spans(alg, thresholds, enter_a: dict, enter_b: dict):
             yield t, out
 
 
-def _below_and_above(points: list, amps: list) -> list:
-    """Per amplitude t in ``amps``: the largest phase among ``points``
-    with amplitude below t and the least with amplitude t or more."""
-    points = sorted(points)
-    phases = [w for _, w in points]
-    below = list(accumulate(phases, max, initial=-INF))
-    above = list(accumulate(reversed(phases), min, initial=INF))[::-1]
-    keys = [r for r, _ in points]
-    return [(below[i], above[i]) for i in (bisect_left(keys, t) for t in amps)]
-
-
 def _combined_values_form_chain(A: CIFSet, B: CIFSet, side: str) -> bool:
     """Whether the meets (membership) or joins (non-membership) of A's
     and B's values form a chain, decided without forming them.
@@ -142,7 +132,7 @@ def _combined_values_form_chain(A: CIFSet, B: CIFSet, side: str) -> bool:
     top_left = max(w for _, w in left)
     top_right = max(w for _, w in right)
     for (below_l, above_l), (below_r, above_r) in zip(
-        _below_and_above(left, amps), _below_and_above(right, amps)
+        phase_bounds(left, amps), phase_bounds(right, amps)
     ):
         if above_l == INF or above_r == INF:
             continue  # no meet reaches t
@@ -163,8 +153,7 @@ def _achievable(A: CIFSet, B: CIFSet, side: str) -> set[Degree]:
 
 def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
     """Joint amplitude-phase ladder; the achievable values must be a chain."""
-    if A.space != B.space:
-        raise ValueError("CIF sets live on different spaces")
+    alg = _same_space(A, B)
     if not _combined_values_form_chain(A, B, side):
         word = "membership" if side == "mem" else "non-membership"
         raise ValueError(f"achievable {word} degrees do not form a chain")
@@ -185,7 +174,7 @@ def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
                 out.setdefault(first[d], []).append(x)
         return out
 
-    cuts = [span.to_basis() for _, span in _cut_spans(A.space, order, entries(A), entries(B))]
+    cuts = [span.to_basis() for _, span in _cut_spans(alg, order, entries(A), entries(B))]
     return LevelCutLadder(side, tuple(order), tuple(cuts))
 
 
@@ -228,17 +217,11 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     combination of brackets at all.  The zero vector lies in every span,
     so it picks up the top threshold, which is the pin.
     """
-    if A.space != B.space:
-        raise ValueError("CIF sets live on different spaces")
-    alg = A.space
+    alg = _same_space(A, B)
     columns = [
         _component(A, B, side, attr, descending, default)
         for side, attr, descending, default in COMPONENTS
     ]
-    table = {
-        x: CIFDegree(Degree(mr, mw), Degree(nr, nw))
-        for x, mr, mw, nr, nw in zip(space_vectors(alg), *columns)
-    }
     notes = ()
     if not (
         _combined_values_form_chain(A, B, "mem")
@@ -248,7 +231,7 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
             "bracket of a non-homogeneous pair: amplitude and phase "
             "ladders computed independently",
         )
-    return CIFSet(alg, table, notes)
+    return from_columns(alg, columns, notes)
 
 
 def bracket_product_oracle(
@@ -263,9 +246,7 @@ def bracket_product_oracle(
     with the ladder algorithm; on homogeneous inputs the two must agree
     exactly.
     """
-    if A.space != B.space:
-        raise ValueError("CIF sets live on different spaces")
-    alg = A.space
+    alg = _same_space(A, B)
     if alg.size > carrier_cap:
         raise ValueError(
             f"carrier too large for the oracle: {alg.size} > {carrier_cap}"

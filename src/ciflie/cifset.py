@@ -40,12 +40,10 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .degrees import (
-    BOTTOM,
     CIFDegree,
     Degree,
     EMPTY,
     FULL,
-    TOP,
     deg_join,
     deg_leq,
     deg_meet,
@@ -63,6 +61,8 @@ from .superalgebra import (
     vec_add,
     vec_scale,
 )
+
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -148,23 +148,28 @@ def is_homogeneous(A: CIFSet) -> Report:
     return pair_homogeneous(A, A)
 
 
+def phase_bounds(points: list, amps: list) -> list:
+    """Per amplitude t in ``amps``: the largest phase among the (r, w)
+    ``points`` with r < t and the least with r >= t (-inf and inf when
+    there is none).  Sorting the points by amplitude turns each bound
+    into a prefix maximum or a suffix minimum of the phases."""
+    points = sorted(points)
+    phases = [w for _, w in points]
+    below = list(accumulate(phases, max, initial=-INF))
+    above = list(accumulate(reversed(phases), min, initial=INF))[::-1]
+    keys = [r for r, _ in points]
+    return [(below[i], above[i]) for i in (bisect_left(keys, t) for t in amps)]
+
+
 def _clashing(values: set[Degree], others: set[Degree]) -> set[Degree]:
     """The u in ``values`` that some v in ``others`` orders differently
     by amplitude and by phase: u.r <= v.r with u.w > v.w, or u.r > v.r
-    with u.w <= v.w.  Sorting ``others`` by amplitude turns each test
-    into a prefix maximum and a suffix minimum of the phases."""
-    ordered = sorted(others, key=lambda d: d.r)
-    amps = [d.r for d in ordered]
-    phases = [d.w for d in ordered]
-    # prefix_max[i] bounds the phases of ordered[:i], suffix_min[i] of ordered[i:]
-    prefix_max = list(accumulate(phases, max, initial=Fraction(-1)))
-    suffix_min = list(accumulate(reversed(phases), min, initial=Fraction(2)))[::-1]
-    out = set()
-    for u in values:
-        i = bisect_left(amps, u.r)  # ordered[i:] are the v with v.r >= u.r
-        if suffix_min[i] < u.w or prefix_max[i] >= u.w:
-            out.add(u)
-    return out
+    with u.w <= v.w."""
+    values = list(values)
+    bounds = phase_bounds([(v.r, v.w) for v in others], [u.r for u in values])
+    return {
+        u for u, (below, above) in zip(values, bounds) if above < u.w or below >= u.w
+    }
 
 
 def pair_homogeneous(A: CIFSet, B: CIFSet) -> Report:
@@ -358,18 +363,23 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
     Each component is read off the sumsets of the cuts.
     """
     alg = _same_space(A, B)
-    vectors = space_vectors(alg)
     columns = [
         _sum_component(A, B, side, attr, descending)
         for side, attr, descending, _ in COMPONENTS
     ]
-    table = {
-        x: CIFDegree(Degree(mr, mw), Degree(nr, nw))
-        for x, mr, mw, nr, nw in zip(vectors, *columns)
-    }
     notes = ()
     if not pair_homogeneous(A, B):
         notes = ("sum of a non-homogeneous pair: componentwise reading applied",)
+    return from_columns(alg, columns, notes)
+
+
+def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...]) -> CIFSet:
+    """The CIF set whose four components (mem r, mem w, non r, non w)
+    are the given columns, each listed in carrier order."""
+    table = {
+        x: CIFDegree(Degree(mr, mw), Degree(nr, nw))
+        for x, mr, mw, nr, nw in zip(space_vectors(alg), *columns)
+    }
     return CIFSet(alg, table, notes)
 
 
@@ -418,16 +428,7 @@ def intersection(A: CIFSet, B: CIFSet) -> CIFSet:
 def is_direct_sum(A: CIFSet, B: CIFSet) -> bool:
     """True when A and B overlap only at zero, i.e. their intersection is
     the trivial CIF set."""
-    alg = _same_space(A, B)
-    zero = alg.zero()
-    for x in space_vectors(alg):
-        if x == zero:
-            continue
-        if deg_meet(A.mem(x), B.mem(x)) != BOTTOM:
-            return False
-        if deg_join(A.non(x), B.non(x)) != TOP:
-            return False
-    return True
+    return is_trivial(intersection(A, B))
 
 
 def scalar_action(alpha: int, A: CIFSet) -> CIFSet:

@@ -1,6 +1,7 @@
 """Command-line surface: validate, check, compute, verify.
 
-Exit codes: 0 success/pass, 1 usage error, 2 load/validation error,
+Exit codes: 0 success/pass, 1 usage error (bad arguments, including an
+operation the loaded sets do not admit), 2 load/validation error,
 3 property/check failure.  Results go to stdout (or --out), diagnostics
 to stderr.  Set COLOR=0 to disable ANSI in text reports.
 """
@@ -30,7 +31,8 @@ from .cifset import (
     scalar_action,
 )
 from .generators import make_config
-from .jsonio import cifset_rows, emit_json, input_digest, rat_str, report_payload
+from .degrees import rat_str
+from .jsonio import cifset_rows, emit_json, input_digest, report_payload
 from .specfile import SpecError, Workspace, parse_spec
 from .superalgebra import validate_map, validate_superalgebra
 from .theorems import ANTI_IDEAL_STUB, CATALOG, check_theorem, negative_controls
@@ -115,19 +117,29 @@ def _load(path: str) -> tuple[Workspace, bytes]:
     return parse_spec(text), data
 
 
-def _validate_workspace(ws: Workspace) -> list[str]:
-    problems = []
-    for name, alg in ws.algebras.items():
-        rep = validate_superalgebra(alg)
-        if not rep.ok:
-            for failure in rep.failures:
-                problems.append(f"space {name}: {failure}")
-    for name, decl in ws.maps.items():
-        rep = validate_map(decl.map)
-        if not rep.ok:
-            for failure in rep.failures:
-                problems.append(f"map {name}: {failure}")
-    return problems
+class InvalidWorkspace(Exception):
+    """The file loaded, but a space or a map fails validation; the args
+    are the problems, one stderr line each."""
+
+
+def _workspace_reports(ws: Workspace) -> dict:
+    """'space NAME' / 'map NAME' -> its validation report, spaces first."""
+    reports = {f"space {n}": validate_superalgebra(a) for n, a in ws.algebras.items()}
+    reports.update({f"map {n}": validate_map(d.map) for n, d in ws.maps.items()})
+    return reports
+
+
+def _problems(reports: dict) -> list[str]:
+    return [f"{label}: {f}" for label, rep in reports.items() for f in rep.failures]
+
+
+def _load_valid(path: str) -> tuple[Workspace, bytes]:
+    """Load a file whose spaces and maps all validate."""
+    ws, data = _load(path)
+    problems = _problems(_workspace_reports(ws))
+    if problems:
+        raise InvalidWorkspace(*problems)
+    return ws, data
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,9 +149,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cifset_text(A: CIFSet, notes: tuple[str, ...]) -> str:
+def _cifset_text(A: CIFSet) -> str:
     lines = ["# vector | mem r w | non r w"]
-    for note in notes:
+    for note in A.notes:
         lines.append(f"# note: {note}")
     for v in sorted(A.table):
         d = A.table[v]
@@ -153,20 +165,18 @@ def _cifset_text(A: CIFSet, notes: tuple[str, ...]) -> str:
 
 def _cmd_validate(args) -> int:
     ws, _ = _load(args.file)
-    problems = _validate_workspace(ws)
+    reports = _workspace_reports(ws)
     for name in sorted(ws.algebras):
-        ok = not any(p.startswith(f"space {name}:") for p in problems)
-        print(f"space {name}: {'valid' if ok else 'INVALID'}")
-    for name, decl in sorted(ws.maps.items()):
-        rep = validate_map(decl.map)
+        print(f"space {name}: {'valid' if reports[f'space {name}'].ok else 'INVALID'}")
+    for name in sorted(ws.maps):
+        rep = reports[f"map {name}"]
         surj = "surjective" if rep.surjective else "not surjective"
         print(f"map {name}: {'valid' if rep.ok else 'INVALID'} ({surj})")
     for name in sorted(ws.sets):
         print(f"cifset {name}: loaded on {ws.sets[name].space}")
+    problems = _problems(reports)
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return EXIT_LOAD
+        raise InvalidWorkspace(*problems)
     return EXIT_OK
 
 
@@ -184,18 +194,25 @@ def _require_map(ws: Workspace, name: str | None):
     return ws.maps[name].map
 
 
+# Looked up by name at call time, so a rebound function is the one run.
+_PREDICATES = {
+    "subspace": lambda A: is_cif_subspace(A),
+    "ideal": lambda A: is_cif_ideal(A),
+    "graded": lambda A: is_z2_graded(A),
+}
+
+_BINARY_OPS = {
+    "sum": lambda A, B: cif_sum(A, B),
+    "intersection": lambda A, B: intersection(A, B),
+    "bracket": lambda A, B: bracket_product(A, B),
+}
+
+
 def _cmd_check(args) -> int:
-    ws, _ = _load(args.file)
-    problems = _validate_workspace(ws)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return EXIT_LOAD
+    ws, _ = _load_valid(args.file)
     pred = args.predicate
     if pred == "anti-hom":
-        if args.name not in ws.maps:
-            raise SpecError(0, f"unknown map '{args.name}'")
-        rep = validate_map(ws.maps[args.name].map)
+        rep = validate_map(_require_map(ws, args.name))
         surj = "surjective" if rep.surjective else "not surjective"
         print(f"anti-hom {args.name}: {_verdict(rep.ok)} ({surj})")
         for failure in rep.failures:
@@ -206,20 +223,16 @@ def _cmd_check(args) -> int:
         B = _require_set(ws, args.with_name)
     else:
         B = None
-    if pred == "subspace":
-        rep = is_cif_subspace(A)
-    elif pred == "ideal":
-        rep = is_cif_ideal(A)
-    elif pred == "graded":
-        rep = is_z2_graded(A)
-    elif pred == "homogeneous":
-        rep = pair_homogeneous(A, B) if B is not None else is_homogeneous(A)
-    else:  # direct-sum
+    if pred == "direct-sum":
         if B is None:
             raise UsageError("direct-sum needs --with")
         ok = is_direct_sum(A, B)
         print(f"direct-sum {args.name},{args.with_name}: {_verdict(ok)}")
         return EXIT_OK if ok else EXIT_CHECK
+    if pred == "homogeneous":
+        rep = pair_homogeneous(A, B) if B is not None else is_homogeneous(A)
+    else:
+        rep = _PREDICATES[pred](A)
     label = f"{pred} {args.name}" + (f",{args.with_name}" if B is not None else "")
     print(f"{label}: {_verdict(rep.ok)}")
     if not rep.ok:
@@ -228,42 +241,28 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    ws, data = _load(args.file)
-    problems = _validate_workspace(ws)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return EXIT_LOAD
+    ws, data = _load_valid(args.file)
     op = args.operation
     A = _require_set(ws, args.left)
     oracle_checked = False
-    if op == "sum":
+    if op in _BINARY_OPS:
         if args.right is None:
-            raise UsageError("sum needs --right")
-        result = cif_sum(A, _require_set(ws, args.right))
-    elif op == "intersection":
-        if args.right is None:
-            raise UsageError("intersection needs --right")
-        result = intersection(A, _require_set(ws, args.right))
-    elif op == "scalar":
-        if args.alpha is None:
-            raise UsageError("scalar needs --alpha")
-        result = scalar_action(args.alpha, A)
-    elif op == "bracket":
-        if args.right is None:
-            raise UsageError("bracket needs --right")
+            raise UsageError(f"{op} needs --right")
         B = _require_set(ws, args.right)
-        result = bracket_product(A, B)
-        if args.oracle:
+        result = _BINARY_OPS[op](A, B)
+        if op == "bracket" and args.oracle:
             oracle_checked = True
-            other = bracket_product_oracle(A, B)
-            diff = first_difference(result, other)
+            diff = first_difference(result, bracket_product_oracle(A, B))
             if diff is not None:
                 print(
                     f"oracle mismatch at vector {diff}: ladder and fixpoint disagree",
                     file=sys.stderr,
                 )
                 return EXIT_CHECK
+    elif op == "scalar":
+        if args.alpha is None:
+            raise UsageError("scalar needs --alpha")
+        result = scalar_action(args.alpha, A)
     elif op == "image":
         result = image(_require_map(ws, args.map_name), A)
     else:  # preimage
@@ -289,19 +288,14 @@ def _cmd_compute(args) -> int:
         }
         _emit(emit_json(payload), args.out)
     else:
-        _emit(_cifset_text(result, result.notes), args.out)
+        _emit(_cifset_text(result), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    ws, data = _load(args.file)
-    problems = _validate_workspace(ws)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return EXIT_LOAD
+    ws, data = _load_valid(args.file)
     theorem = args.theorem
     known = set(CATALOG) | {"neg-controls", ANTI_IDEAL_STUB}
     if theorem not in known:
@@ -364,14 +358,17 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "compute":
             return _cmd_compute(args)
         return _cmd_verify(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # A file that loaded but whose sets an operation refuses (say,
+        # sets on different spaces) is a usage error, not a load error.
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SpecError as exc:
         print(f"load error: {exc}", file=sys.stderr)
         return EXIT_LOAD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InvalidWorkspace as exc:
+        for problem in exc.args:
+            print(problem, file=sys.stderr)
         return EXIT_LOAD
 
 

@@ -116,6 +116,11 @@ FULL = CIFDegree(TOP, BOTTOM)
 EMPTY = CIFDegree(BOTTOM, TOP)
 
 
+def rat_str(q: Fraction) -> str:
+    """The "num/den" form used by the spec language and the JSON output."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 def cif_degree(mr: RatLike, mw: RatLike, nr: RatLike, nw: RatLike) -> CIFDegree:
     """Shorthand constructor used by tests, generators and the parser."""
     return CIFDegree(Degree(as_rational(mr), as_rational(mw)),

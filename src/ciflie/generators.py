@@ -31,6 +31,7 @@ from .superalgebra import (
     bracket_eval,
     graded_split,
     space_vectors,
+    span_closure,
     validate_map,
 )
 
@@ -99,10 +100,7 @@ def make_config(seed: int, algebra: Superalgebra, chain_length: int = 3) -> GenC
 
 def trial_config(cfg: GenConfig, index: int) -> GenConfig:
     """Per-trial config: derived seed and a fresh pool for that seed."""
-    seed = derive_seed(cfg.seed, index + 1)
-    rng = random.Random(derive_seed(seed, 0))
-    pool = make_degree_pool(rng, cfg.chain_length)
-    return GenConfig(seed, cfg.algebra, cfg.chain_length, pool)
+    return make_config(derive_seed(cfg.seed, index + 1), cfg.algebra, cfg.chain_length)
 
 
 def _random_vector(alg: Superalgebra, rng: random.Random) -> Vector:
@@ -149,10 +147,7 @@ def _random_chain(
             basis = crisp_ideal_closure(alg, gens)
             gens = list(basis.rows)
         else:
-            builder = SpanBuilder(alg.field, alg.dim)
-            for g in gens:
-                builder.add(g)
-            basis = builder.to_basis()
+            basis = span_closure(alg, gens)
         chains.append(basis)
     chains.reverse()
     return chains

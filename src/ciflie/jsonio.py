@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 from .cifset import CIFSet
+from .degrees import rat_str
 from .superalgebra import space_vectors
 from .theorems import TheoremReport
-
-
-def rat_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def cifset_rows(A: CIFSet) -> list[dict]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,6 @@ class Report:
 
     ok: bool
     failures: tuple[str, ...] = ()
-    note: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
@@ -27,20 +26,12 @@ class Report:
 
 
 @dataclass(frozen=True)
-class MapReport:
+class MapReport(Report):
     """Validation outcome for a graded linear map.
 
     Surjectivity is reported alongside validity because downstream
     image/preimage laws assume it without it being part of map validity.
     """
 
-    ok: bool
+    _: KW_ONLY
     surjective: bool
-    failures: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    @property
-    def witness(self) -> str | None:
-        return self.failures[0] if self.failures else None

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degrees import CIFDegree, Degree, FULL
+from .degrees import CIFDegree, Degree, FULL, rat_str
 from .superalgebra import (
     GradedMap,
     PrimeField,
     Superalgebra,
     Vector,
+    check_carrier,
     space_vectors,
     superalgebra_from_pairs,
 )
@@ -99,9 +100,9 @@ def _parse_int(token: str, line: int, what: str) -> int:
 
 
 def _check_name(token: str, line: int) -> str:
-    if not token or not (token[0].isalpha() or token[0] == "_"):
-        raise SpecError(line, f"invalid name '{token}'")
-    if not all(c.isalnum() or c == "_" for c in token):
+    if not (token[:1].isalpha() or token[:1] == "_") or not all(
+        c.isalnum() or c == "_" for c in token
+    ):
         raise SpecError(line, f"invalid name '{token}'")
     return token
 
@@ -132,7 +133,7 @@ class _Loader:
             raise SpecError(line, str(exc)) from None
 
     def stmt_space(self, args: list[str], line: int) -> None:
-        self._need_field(line)
+        field = self._need_field(line)
         if len(args) < 4 or args[1] != "dim" or args[3] != "parity":
             raise SpecError(line, "usage: space NAME dim INT parity BIT...")
         name = _check_name(args[0], line)
@@ -147,8 +148,10 @@ class _Loader:
             if b not in ("0", "1"):
                 raise SpecError(line, f"parity bit must be 0 or 1, got '{b}'")
             parity.append(int(b))
-        if not 1 <= dim <= 6:
-            raise SpecError(line, f"dim must be in 1..6, got {dim}")
+        try:
+            check_carrier(field, dim)
+        except ValueError as exc:
+            raise SpecError(line, str(exc)) from None
         self.space_decls[name] = (dim, tuple(parity))
         self.pairs[name] = {}
 
@@ -312,12 +315,8 @@ def parse_spec(text: str) -> Workspace:
         raise SpecError(0, f"inconsistent document: {exc}") from None
 
 
-def _rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _degree4(d: CIFDegree) -> str:
-    return f"{_rat(d.mem.r)} {_rat(d.mem.w)} {_rat(d.non.r)} {_rat(d.non.w)}"
+    return f"{rat_str(d.mem.r)} {rat_str(d.mem.w)} {rat_str(d.non.r)} {rat_str(d.non.w)}"
 
 
 def serialize(ws: Workspace) -> str:

@@ -3,8 +3,8 @@
 Vectors are coordinate tuples reduced mod p, subspaces are reduced
 row-echelon bases, and the bracket is the bilinear extension of a
 structure-constant table c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k.
-Dimensions stay small (at most 6) so every subspace, fiber and sup/inf
-downstream can be enumerated outright.
+Carriers stay small (dimension at most 6, at most 3125 vectors) so
+every subspace and sup/inf downstream can be enumerated outright.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ Vector = tuple[int, ...]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 MAX_DIM = 6
+# 5^5: every carrier of dim <= 5 over F_2, F_3, F_5, and dim 6 over F_2, F_3.
+MAX_CARRIER = 3125
 
 
 @dataclass(frozen=True)
@@ -31,12 +33,6 @@ class PrimeField:
     def __post_init__(self) -> None:
         if self.p not in _SMALL_PRIMES:
             raise ValueError(f"modulus must be a prime in 2..13, got {self.p}")
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -61,8 +57,16 @@ def vec_scale(p: int, k: int, v: Vector) -> Vector:
     return tuple((k * a) % p for a in v)
 
 
-def vec_neg(p: int, v: Vector) -> Vector:
-    return tuple((-a) % p for a in v)
+def check_carrier(field: PrimeField, dim: int) -> None:
+    """Refuse a carrier F_p^dim too large to enumerate, before any vector
+    of it is made."""
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 1..{MAX_DIM}, got {dim}")
+    if field.p**dim > MAX_CARRIER:
+        raise ValueError(
+            f"carrier too large: {field.p}^{dim} = {field.p**dim} vectors,"
+            f" at most {MAX_CARRIER} are supported"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ class Superalgebra:
     structure: tuple[tuple[Vector, ...], ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
+        check_carrier(self.field, self.dim)
         if len(self.parity) != self.dim or any(b not in (0, 1) for b in self.parity):
             raise ValueError("parity must be a tuple of dim bits")
         if len(self.structure) != self.dim:
@@ -114,10 +117,7 @@ def space_vectors(alg: Superalgebra) -> tuple[Vector, ...]:
 
 
 def abelian_superalgebra(field: PrimeField, parity: Sequence[int]) -> Superalgebra:
-    dim = len(parity)
-    zero_cell = (0,) * dim
-    table = tuple(tuple(zero_cell for _ in range(dim)) for _ in range(dim))
-    return Superalgebra(field, dim, tuple(parity), table)
+    return superalgebra_from_pairs(field, parity, {})
 
 
 def superalgebra_from_pairs(
@@ -176,11 +176,6 @@ def graded_split(alg: Superalgebra, x: Vector) -> tuple[Vector, Vector]:
     even = tuple(c if alg.parity[i] == 0 else 0 for i, c in enumerate(x))
     odd = tuple(c if alg.parity[i] == 1 else 0 for i, c in enumerate(x))
     return even, odd
-
-
-def is_homogeneous_vector(alg: Superalgebra, x: Vector) -> bool:
-    even, odd = graded_split(alg, x)
-    return even == alg.zero() or odd == alg.zero()
 
 
 def validate_superalgebra(alg: Superalgebra) -> Report:
@@ -442,7 +437,7 @@ def validate_map(m: GradedMap) -> MapReport:
         for i in range(m.source.dim):
             for j in range(m.source.dim):
                 lhs = apply_map(m, bracket_eval(m.source, m.source.basis(i), m.source.basis(j)))
-                rhs = vec_neg(p, bracket_eval(m.target, m.matrix[i], m.matrix[j]))
+                rhs = vec_scale(p, -1, bracket_eval(m.target, m.matrix[i], m.matrix[j]))
                 if lhs != rhs:
                     failures.append(
                         f"anti condition: phi([b{i}, b{j}]) != -[phi(b{i}), phi(b{j})]"
@@ -452,55 +447,3 @@ def validate_map(m: GradedMap) -> MapReport:
                 continue
             break
     return MapReport(ok=not failures, surjective=is_surjective(m), failures=tuple(failures))
-
-
-def fiber(m: GradedMap, y: Vector) -> list[Vector]:
-    """All source vectors mapping to y, via a particular solution + kernel.
-
-    Returns the empty list when y is outside the image.  The result is
-    sorted, so fibers enumerate deterministically.
-    """
-    if len(y) != m.target.dim:
-        raise ValueError("dimension mismatch")
-    p = m.source.field.p
-    n = m.source.dim
-    # Equations over the unknown x: sum_i x_i * matrix[i][k] = y[k].
-    rows = [[m.matrix[i][k] for i in range(n)] + [y[k] % p] for k in range(m.target.dim)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((q for q in range(r, len(rows)) if rows[q][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = m.source.field.inv(rows[r][col])
-        rows[r] = [(inv * c) % p for c in rows[r]]
-        for q in range(len(rows)):
-            if q != r and rows[q][col]:
-                factor = rows[q][col]
-                rows[q] = [(a - factor * b) % p for a, b in zip(rows[q], rows[r])]
-        pivots.append(col)
-        r += 1
-    for q in range(r, len(rows)):
-        if rows[q][n]:
-            return []
-    particular = [0] * n
-    for idx, col in enumerate(pivots):
-        particular[col] = rows[idx][n]
-    free = [col for col in range(n) if col not in pivots]
-    kernel: list[Vector] = []
-    for col in free:
-        vec = [0] * n
-        vec[col] = 1
-        for idx, pcol in enumerate(pivots):
-            vec[pcol] = (-rows[idx][col]) % p
-        kernel.append(tuple(vec))
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(kernel)):
-        x = list(particular)
-        for c, vec in zip(coeffs, kernel):
-            if c:
-                for k in range(n):
-                    x[k] = (x[k] + c * vec[k]) % p
-        out.append(tuple(x))
-    return sorted(set(out))

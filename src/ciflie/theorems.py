@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .bracket import bracket_graded_parts, bracket_product, bracket_product_oracle
@@ -39,6 +40,7 @@ from .cifset import (
 from .degrees import EMPTY
 from .generators import (
     GenConfig,
+    _random_homogeneous_vector,
     derive_seed,
     gen_anti_hom,
     gen_cif_ideal,
@@ -47,7 +49,7 @@ from .generators import (
     gen_pair,
     trial_config,
 )
-from .superalgebra import SpanBuilder, Superalgebra, bracket_eval, space_vectors
+from .superalgebra import Superalgebra, bracket_eval, space_vectors, span_closure
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,27 @@ def _subset_witness(label: str, X: CIFSet, Y: CIFSet) -> str | None:
 Runner = Callable[[GenConfig, random.Random], tuple[str | None, str]]
 
 
-def _run_mylemma_1(cfg, rng):
-    A, B = gen_pair(cfg, rng, kind="subspace")
-    rep = is_cif_subspace(cif_sum(A, B))
-    witness = None if rep.ok else f"A+B not a subspace: {rep.witness}"
-    return witness, _digest(A, B)
+def _transform(kind: str, cfg: GenConfig, rng: random.Random):
+    """The map a law is stated through, and its label: the identity
+    (draws nothing), or the image or the preimage under an
+    anti-homomorphism phi drawn from ``rng`` at this point."""
+    if kind == "identity":
+        return (lambda X: X), ""
+    phi = gen_anti_hom(cfg, rng)
+    if kind == "image":
+        return (lambda X: image(phi, X)), "phi"
+    return (lambda X: preimage(phi, X)), "phi^-1"
 
 
-def _run_sum_ideal(cfg, rng):
-    A, B = gen_pair(cfg, rng, kind="ideal")
-    rep = is_cif_ideal(cif_sum(A, B))
-    witness = None if rep.ok else f"A+B not an ideal: {rep.witness}"
+def _run_closed(kind, op, cfg, rng):
+    """A+B or [A,B] of two CIF subspaces (ideals) is one again."""
+    A, B = gen_pair(cfg, rng, kind=kind)
+    out = cif_sum(A, B) if op == "A+B" else bracket_product(A, B)
+    if kind == "subspace":
+        rep, word = is_cif_subspace(out), "a subspace"
+    else:
+        rep, word = is_cif_ideal(out), "an ideal"
+    witness = None if rep.ok else f"{op} not {word}: {rep.witness}"
     return witness, _digest(A, B)
 
 
@@ -112,10 +124,16 @@ def _run_lem_2(cfg, rng):
     return witness, _digest(A1, A2, B)
 
 
-def _run_lem_1(cfg, rng):
+def _lem1_inputs(cfg, rng):
+    """A1 <= A2 and B1 <= B2 for arbitrary sets."""
     A2, B2 = gen_pair(cfg, rng, kind="set")
     A1 = intersection(gen_cif_set(cfg, rng), A2)
     B1 = intersection(gen_cif_set(cfg, rng), B2)
+    return A1, B1, A2, B2
+
+
+def _run_lem_1(cfg, rng):
+    A1, B1, A2, B2 = _lem1_inputs(cfg, rng)
     witness = _subset_witness(
         "[A1,B1] <= [A2,B2]", bracket_product(A1, B1), bracket_product(A2, B2)
     )
@@ -125,13 +143,16 @@ def _run_lem_1(cfg, rng):
 def _run_thrm_1(cfg, rng):
     A1, A2 = gen_pair(cfg, rng, kind="set")
     B = gen_cif_set(cfg, rng)
-    left = bracket_product(cif_sum(A1, A2), B)
-    right = cif_sum(bracket_product(A1, B), bracket_product(A2, B))
-    witness = _eq_witness("[A1+A2,B] = [A1,B]+[A2,B]", left, right)
-    if witness is None:
-        left2 = bracket_product(B, cif_sum(A1, A2))
-        right2 = cif_sum(bracket_product(B, A1), bracket_product(B, A2))
-        witness = _eq_witness("[B,A1+A2] = [B,A1]+[B,A2]", left2, right2)
+    S = cif_sum(A1, A2)
+    witness = _eq_witness(
+        "[A1+A2,B] = [A1,B]+[A2,B]",
+        bracket_product(S, B),
+        cif_sum(bracket_product(A1, B), bracket_product(A2, B)),
+    ) or _eq_witness(
+        "[B,A1+A2] = [B,A1]+[B,A2]",
+        bracket_product(B, S),
+        cif_sum(bracket_product(B, A1), bracket_product(B, A2)),
+    )
     return witness, _digest(A1, A2, B)
 
 
@@ -140,47 +161,42 @@ def _run_thrm_2(cfg, rng):
     alpha = rng.randrange(cfg.algebra.field.p)
     left = bracket_product(scalar_action(alpha, A), B)
     right = scalar_action(alpha, bracket_product(A, B))
-    witness = _eq_witness(f"[{alpha}A,B] = {alpha}[A,B]", left, right)
-    if witness is None:
-        left2 = bracket_product(A, scalar_action(alpha, B))
-        witness = _eq_witness(f"[A,{alpha}B] = {alpha}[A,B]", left2, right)
+    witness = _eq_witness(f"[{alpha}A,B] = {alpha}[A,B]", left, right) or _eq_witness(
+        f"[A,{alpha}B] = {alpha}[A,B]", bracket_product(A, scalar_action(alpha, B)), right
+    )
     return witness, _digest(A, B)
 
 
-def _run_thrm_9(cfg, rng):
+def _run_bilinear(kind, cfg, rng):
+    """[T(aA1+bA2),T(B)] = a[T(A1),T(B)] + b[T(A2),T(B)], then with the
+    bracket's arguments swapped, for T the identity, an image or a
+    preimage."""
     A1, A2 = gen_pair(cfg, rng, kind="subspace")
     B = gen_cif_subspace(cfg, rng)
+    T, name = _transform(kind, cfg, rng)
     p = cfg.algebra.field.p
     alpha, beta = rng.randrange(p), rng.randrange(p)
-    left = bracket_product(
-        cif_sum(scalar_action(alpha, A1), scalar_action(beta, A2)), B
-    )
-    right = cif_sum(
-        scalar_action(alpha, bracket_product(A1, B)),
-        scalar_action(beta, bracket_product(A2, B)),
-    )
-    witness = _eq_witness(
-        f"[{alpha}A1+{beta}A2,B] = {alpha}[A1,B]+{beta}[A2,B]", left, right
-    )
-    if witness is None:
-        left2 = bracket_product(
-            B, cif_sum(scalar_action(alpha, A1), scalar_action(beta, A2))
-        )
-        right2 = cif_sum(
-            scalar_action(alpha, bracket_product(B, A1)),
-            scalar_action(beta, bracket_product(B, A2)),
-        )
-        witness = _eq_witness(
-            f"[B,{alpha}A1+{beta}A2] = {alpha}[B,A1]+{beta}[B,A2]", left2, right2
-        )
-    return witness, _digest(A1, A2, B)
+    combo = T(cif_sum(scalar_action(alpha, A1), scalar_action(beta, A2)))
+    TA1, TA2, TB = T(A1), T(A2), T(B)
 
+    def law(swap: bool) -> str | None:
+        def br(X, Y):
+            return bracket_product(Y, X) if swap else bracket_product(X, Y)
 
-def _run_lem_3(cfg, rng):
-    A, B = gen_pair(cfg, rng, kind="subspace")
-    rep = is_cif_subspace(bracket_product(A, B))
-    witness = None if rep.ok else f"[A,B] not a subspace: {rep.witness}"
-    return witness, _digest(A, B)
+        pair = "[{1},{0}]" if swap else "[{0},{1}]"
+        wrap = f"{name}({{}})" if name else "{}"
+        left = br(combo, TB)
+        right = cif_sum(
+            scalar_action(alpha, br(TA1, TB)), scalar_action(beta, br(TA2, TB))
+        )
+        label = pair.format(wrap.format(f"{alpha}A1+{beta}A2"), wrap.format("B"))
+        if name:
+            label += " bilinear"
+        else:
+            label += f" = {alpha}{pair.format('A1', 'B')}+{beta}{pair.format('A2', 'B')}"
+        return _eq_witness(label, left, right)
+
+    return law(False) or law(True), _digest(A1, A2, B)
 
 
 def _run_lem_4(cfg, rng):
@@ -204,29 +220,14 @@ def _run_lem_5(cfg, rng):
     return witness, _digest(A, B)
 
 
-def _run_thrm_3(cfg, rng):
+def _run_bracket_contained(kind, cfg, rng):
+    """T([A,B]) <= [T(A),T(B)] for ideals and T an image or a preimage."""
     A, B = gen_pair(cfg, rng, kind="ideal")
-    rep = is_cif_ideal(bracket_product(A, B))
-    witness = None if rep.ok else f"[A,B] not an ideal: {rep.witness}"
-    return witness, _digest(A, B)
-
-
-def _run_thrm_4(cfg, rng):
-    A, B = gen_pair(cfg, rng, kind="ideal")
-    phi = gen_anti_hom(cfg, rng)
-    left = image(phi, bracket_product(A, B))
-    right = bracket_product(image(phi, A), image(phi, B))
-    witness = _subset_witness("phi([A,B]) <= [phi(A),phi(B)]", left, right)
-    return witness, _digest(A, B)
-
-
-def _run_preimg_bracket(cfg, rng):
-    A, B = gen_pair(cfg, rng, kind="ideal")
-    phi = gen_anti_hom(cfg, rng)
-    left = preimage(phi, bracket_product(A, B))
-    right = bracket_product(preimage(phi, A), preimage(phi, B))
+    T, name = _transform(kind, cfg, rng)
     witness = _subset_witness(
-        "phi^-1([A,B]) <= [phi^-1(A),phi^-1(B)]", left, right
+        f"{name}([A,B]) <= [{name}(A),{name}(B)]",
+        T(bracket_product(A, B)),
+        bracket_product(T(A), T(B)),
     )
     return witness, _digest(A, B)
 
@@ -240,86 +241,22 @@ def _run_thrm_15(cfg, rng):
     return witness, _digest(A, B)
 
 
-def _run_thrm_11(cfg, rng):
-    B = gen_cif_ideal(cfg, rng)
-    phi = gen_anti_hom(cfg, rng)
+def _run_scalar_commutes(kind, letter, cfg, rng):
+    """T(aX) = aT(X) for an ideal X and T an image or a preimage; at
+    a = 0 both sides must also be the trivial set."""
+    X = gen_cif_ideal(cfg, rng)
+    T, name = _transform(kind, cfg, rng)
     alpha = rng.randrange(cfg.algebra.field.p)
-    left = preimage(phi, scalar_action(alpha, B))
-    right = scalar_action(alpha, preimage(phi, B))
-    witness = _eq_witness(f"phi^-1({alpha}B) = {alpha}phi^-1(B)", left, right)
+    left = T(scalar_action(alpha, X))
+    right = scalar_action(alpha, T(X))
+    witness = _eq_witness(
+        f"{name}({alpha}{letter}) = {alpha}{name}({letter})", left, right
+    )
     if witness is None and alpha == 0:
         witness = _eq_witness(
-            "phi^-1(0B) = trivial", left, trivial_cifset(cfg.algebra)
+            f"{name}(0{letter}) = trivial", left, trivial_cifset(cfg.algebra)
         )
-    return witness, _digest(B)
-
-
-def _run_thrm_10(cfg, rng):
-    A = gen_cif_ideal(cfg, rng)
-    phi = gen_anti_hom(cfg, rng)
-    alpha = rng.randrange(cfg.algebra.field.p)
-    left = image(phi, scalar_action(alpha, A))
-    right = scalar_action(alpha, image(phi, A))
-    witness = _eq_witness(f"phi({alpha}A) = {alpha}phi(A)", left, right)
-    if witness is None and alpha == 0:
-        witness = _eq_witness(
-            "phi(0A) = trivial", left, trivial_cifset(cfg.algebra)
-        )
-    return witness, _digest(A)
-
-
-def _run_cor_image_bilinear(cfg, rng):
-    A1, A2 = gen_pair(cfg, rng, kind="subspace")
-    B = gen_cif_subspace(cfg, rng)
-    phi = gen_anti_hom(cfg, rng)
-    p = cfg.algebra.field.p
-    alpha, beta = rng.randrange(p), rng.randrange(p)
-    combo = cif_sum(scalar_action(alpha, A1), scalar_action(beta, A2))
-    left = bracket_product(image(phi, combo), image(phi, B))
-    right = cif_sum(
-        scalar_action(alpha, bracket_product(image(phi, A1), image(phi, B))),
-        scalar_action(beta, bracket_product(image(phi, A2), image(phi, B))),
-    )
-    witness = _eq_witness(
-        f"[phi({alpha}A1+{beta}A2),phi(B)] bilinear", left, right
-    )
-    if witness is None:
-        left2 = bracket_product(image(phi, B), image(phi, combo))
-        right2 = cif_sum(
-            scalar_action(alpha, bracket_product(image(phi, B), image(phi, A1))),
-            scalar_action(beta, bracket_product(image(phi, B), image(phi, A2))),
-        )
-        witness = _eq_witness(
-            f"[phi(B),phi({alpha}A1+{beta}A2)] bilinear", left2, right2
-        )
-    return witness, _digest(A1, A2, B)
-
-
-def _run_cor_preimage_bilinear(cfg, rng):
-    A1, A2 = gen_pair(cfg, rng, kind="subspace")
-    B = gen_cif_subspace(cfg, rng)
-    phi = gen_anti_hom(cfg, rng)
-    p = cfg.algebra.field.p
-    alpha, beta = rng.randrange(p), rng.randrange(p)
-    combo = cif_sum(scalar_action(alpha, A1), scalar_action(beta, A2))
-    left = bracket_product(preimage(phi, combo), preimage(phi, B))
-    right = cif_sum(
-        scalar_action(alpha, bracket_product(preimage(phi, A1), preimage(phi, B))),
-        scalar_action(beta, bracket_product(preimage(phi, A2), preimage(phi, B))),
-    )
-    witness = _eq_witness(
-        f"[phi^-1({alpha}A1+{beta}A2),phi^-1(B)] bilinear", left, right
-    )
-    if witness is None:
-        left2 = bracket_product(preimage(phi, B), preimage(phi, combo))
-        right2 = cif_sum(
-            scalar_action(alpha, bracket_product(preimage(phi, B), preimage(phi, A1))),
-            scalar_action(beta, bracket_product(preimage(phi, B), preimage(phi, A2))),
-        )
-        witness = _eq_witness(
-            f"[phi^-1(B),phi^-1({alpha}A1+{beta}A2)] bilinear", left2, right2
-        )
-    return witness, _digest(A1, A2, B)
+    return witness, _digest(X)
 
 
 def _run_oracle_agreement(cfg, rng):
@@ -332,33 +269,56 @@ def _run_oracle_agreement(cfg, rng):
     return witness, _digest(A, B)
 
 
+# Runners are bound to their law's transform here, but they call the
+# ciflie functions by module-level name, so rebinding one (a tracer, a
+# test sabotage) reaches every law that uses it.
 CATALOG: dict[str, tuple[str, Runner]] = {
-    "mylemma-1": ("sum of CIF subspaces is a CIF subspace", _run_mylemma_1),
-    "sum-ideal": ("sum of CIF ideals is a CIF ideal", _run_sum_ideal),
+    "mylemma-1": (
+        "sum of CIF subspaces is a CIF subspace",
+        partial(_run_closed, "subspace", "A+B"),
+    ),
+    "sum-ideal": (
+        "sum of CIF ideals is a CIF ideal", partial(_run_closed, "ideal", "A+B")
+    ),
     "lem-1": ("bracket product is monotone in both arguments", _run_lem_1),
     "lem-2": ("sum of subsets of a subspace stays inside it", _run_lem_2),
-    "lem-3": ("bracket product of subspaces is a subspace", _run_lem_3),
+    "lem-3": (
+        "bracket product of subspaces is a subspace",
+        partial(_run_closed, "subspace", "[A,B]"),
+    ),
     "lem-4": ("bracket product of graded subspaces is graded", _run_lem_4),
     "lem-5": ("bracket product of graded subspaces is symmetric", _run_lem_5),
     "thrm-1": ("bracket product distributes over sums", _run_thrm_1),
     "thrm-2": ("bracket product respects scalar action", _run_thrm_2),
-    "thrm-3": ("bracket product of ideals is an ideal", _run_thrm_3),
-    "thrm-4": ("image of a bracket is inside the bracket of images", _run_thrm_4),
-    "thrm-9": ("bracket product is bilinear", _run_thrm_9),
-    "thrm-10": ("image commutes with scalar action", _run_thrm_10),
-    "thrm-11": ("preimage commutes with scalar action", _run_thrm_11),
+    "thrm-3": (
+        "bracket product of ideals is an ideal",
+        partial(_run_closed, "ideal", "[A,B]"),
+    ),
+    "thrm-4": (
+        "image of a bracket is inside the bracket of images",
+        partial(_run_bracket_contained, "image"),
+    ),
+    "thrm-9": ("bracket product is bilinear", partial(_run_bilinear, "identity")),
+    "thrm-10": (
+        "image commutes with scalar action",
+        partial(_run_scalar_commutes, "image", "A"),
+    ),
+    "thrm-11": (
+        "preimage commutes with scalar action",
+        partial(_run_scalar_commutes, "preimage", "B"),
+    ),
     "thrm-15": ("preimage distributes over sums", _run_thrm_15),
     "preimg-bracket": (
         "preimage of a bracket is inside the bracket of preimages",
-        _run_preimg_bracket,
+        partial(_run_bracket_contained, "preimage"),
     ),
     "cor-image-bilinear": (
         "bracket of images is bilinear in the mapped arguments",
-        _run_cor_image_bilinear,
+        partial(_run_bilinear, "image"),
     ),
     "cor-preimage-bilinear": (
         "bracket of preimages is bilinear in the pulled-back arguments",
-        _run_cor_preimage_bilinear,
+        partial(_run_bilinear, "preimage"),
     ),
     "oracle": ("ladder and fixpoint oracle agree", _run_oracle_agreement),
 }
@@ -396,17 +356,12 @@ def check_theorem(theorem_id: str, cfg: GenConfig, trials: int) -> TheoremReport
 
 def _nonideal_graded_subspace(alg: Superalgebra, rng: random.Random):
     """A crisp graded subspace not closed under bracketing, if one exists."""
-    from .generators import _random_homogeneous_vector
-
     for _ in range(200):
         gens = [
             _random_homogeneous_vector(alg, rng)
             for _ in range(rng.randint(1, alg.dim))
         ]
-        builder = SpanBuilder(alg.field, alg.dim)
-        for g in gens:
-            builder.add(g)
-        basis = builder.to_basis()
+        basis = span_closure(alg, gens)
         if not 0 < basis.rank < alg.dim:
             continue
         for w in basis.rows:
@@ -417,9 +372,7 @@ def _nonideal_graded_subspace(alg: Superalgebra, rng: random.Random):
 
 
 def _control_lem1_reversed(cfg, rng):
-    A2, B2 = gen_pair(cfg, rng, kind="set")
-    A1 = intersection(gen_cif_set(cfg, rng), A2)
-    B1 = intersection(gen_cif_set(cfg, rng), B2)
+    A1, B1, A2, B2 = _lem1_inputs(cfg, rng)
     return not subset_of(bracket_product(A2, B2), bracket_product(A1, B1))
 
 
@@ -485,12 +438,7 @@ def negative_controls(cfg: GenConfig, trials: int = 200) -> TheoremReport:
     notes: list[str] = []
     total = 0
     for name, control in NEGATIVE_CONTROLS.items():
-        ccfg = GenConfig(
-            derive_seed(cfg.seed, _name_tag(name)),
-            cfg.algebra,
-            cfg.chain_length,
-            cfg.degree_pool,
-        )
+        ccfg = replace(cfg, seed=derive_seed(cfg.seed, _name_tag(name)))
         falsified_at: int | None = None
         applicable = True
         for index in range(trials):

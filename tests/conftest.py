@@ -1,6 +1,7 @@
 import pytest
 
-from ciflie import PrimeField, abelian_superalgebra, superalgebra_from_pairs
+from ciflie import PrimeField, abelian_superalgebra, space_vectors, superalgebra_from_pairs
+from helpers import rebind_everywhere
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +42,13 @@ def L5(F3):
         (0, 1, 1, 0, 1),
         {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0, 0), (4, 4): e},
     )
+
+
+@pytest.fixture()
+def no_enumeration(monkeypatch):
+    """Make enumerating any carrier an error, in every ciflie module."""
+
+    def refuse(alg):
+        raise AssertionError(f"enumerated a carrier of {alg.size} vectors")
+
+    rebind_everywhere(space_vectors, refuse, monkeypatch.setattr)

@@ -1,9 +1,11 @@
-"""Random workspace and document generators shared by parser tests."""
+"""Random workspace and document generators shared by parser tests,
+and a rebinding helper for tests that swap out a ciflie function."""
 
 from __future__ import annotations
 
 import random
 import string
+import sys
 from fractions import Fraction
 
 from ciflie import PrimeField, make_cifset, space_vectors, superalgebra_from_pairs
@@ -92,3 +94,15 @@ def gen_fuzz_document(rng: random.Random) -> str:
             )
         lines.append(line)
     return "\n".join(lines)
+
+
+def rebind_everywhere(original, replacement, setattr_) -> None:
+    """Rebind every attribute of a loaded ciflie module that holds
+    ``original`` (as the benchmark tracer does), through ``setattr_``
+    (``monkeypatch.setattr`` or a recording setter)."""
+    for name, module in sorted(sys.modules.items()):
+        if module is None or name.split(".")[0] != "ciflie":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                setattr_(module, attr, replacement)

@@ -1,15 +1,20 @@
-"""Quadratic definitions of the level-cut operations, for tests only.
+"""Reference definitions of ciflie's operations, for tests only.
 
-Each function here is the pairwise reading of an operation that
+Most functions here are the pairwise reading of an operation that
 ``ciflie`` computes from level cuts: the bracket ladder over all |V|^2
 argument pairs, the sum over all decompositions, and the subspace,
 ideal and homogeneity predicates over all pairs.  They share no cut
 machinery with the package, so agreement between the two is a check of
 the cut identities, including the notes and the witnesses.
+
+``fiber`` solves phi(x) = y by elimination, and ``fiber_image`` and
+``fiber_preimage`` read the image and the preimage of a CIF set off the
+fibers, without the forward pass over the source that ``ciflie`` makes.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from ciflie import (
@@ -17,10 +22,13 @@ from ciflie import (
     CIFDegree,
     CIFSet,
     Degree,
+    EMPTY,
+    GradedMap,
     LevelCutLadder,
     Report,
     SpanBuilder,
     TOP,
+    Vector,
     bracket_eval,
     deg_join,
     deg_leq,
@@ -208,3 +216,80 @@ def quadratic_is_cif_ideal(A: CIFSet) -> Report:
             if not deg_leq(A.non(bxy), deg_meet(A.non(x), A.non(y))):
                 return Report(False, (f"bracket clause (non-membership): x={x}, y={y}",))
     return Report(True)
+
+
+def fiber(m: GradedMap, y: Vector) -> list[Vector]:
+    """All source vectors mapping to y, via a particular solution + kernel.
+
+    Returns the empty list when y is outside the image.  The result is
+    sorted, so fibers enumerate deterministically.
+    """
+    if len(y) != m.target.dim:
+        raise ValueError("dimension mismatch")
+    p = m.source.field.p
+    n = m.source.dim
+    # Equations over the unknown x: sum_i x_i * matrix[i][k] = y[k].
+    rows = [[m.matrix[i][k] for i in range(n)] + [y[k] % p] for k in range(m.target.dim)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((q for q in range(r, len(rows)) if rows[q][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = m.source.field.inv(rows[r][col])
+        rows[r] = [(inv * c) % p for c in rows[r]]
+        for q in range(len(rows)):
+            if q != r and rows[q][col]:
+                factor = rows[q][col]
+                rows[q] = [(a - factor * b) % p for a, b in zip(rows[q], rows[r])]
+        pivots.append(col)
+        r += 1
+    for q in range(r, len(rows)):
+        if rows[q][n]:
+            return []
+    particular = [0] * n
+    for idx, col in enumerate(pivots):
+        particular[col] = rows[idx][n]
+    free = [col for col in range(n) if col not in pivots]
+    kernel: list[Vector] = []
+    for col in free:
+        vec = [0] * n
+        vec[col] = 1
+        for idx, pcol in enumerate(pivots):
+            vec[pcol] = (-rows[idx][col]) % p
+        kernel.append(tuple(vec))
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(kernel)):
+        x = list(particular)
+        for c, vec in zip(coeffs, kernel):
+            if c:
+                for k in range(n):
+                    x[k] = (x[k] + c * vec[k]) % p
+        out.append(tuple(x))
+    return sorted(set(out))
+
+
+def fiber_image(m: GradedMap, A: CIFSet) -> CIFSet:
+    """Per target vector y: the componentwise max of A's memberships and
+    min of its non-memberships over the fiber of y; EMPTY off the image."""
+    table = {}
+    for y in space_vectors(m.target):
+        degrees = [A.table[x] for x in fiber(m, y)]
+        if not degrees:
+            table[y] = EMPTY
+            continue
+        mem = Degree(max(d.mem.r for d in degrees), max(d.mem.w for d in degrees))
+        non = Degree(min(d.non.r for d in degrees), min(d.non.w for d in degrees))
+        table[y] = CIFDegree(mem, non)
+    return CIFSet(m.target, table)
+
+
+def fiber_preimage(m: GradedMap, B: CIFSet) -> CIFSet:
+    """Every source vector takes B's degree at the target vector whose
+    fiber holds it."""
+    table = {}
+    for y in space_vectors(m.target):
+        for x in fiber(m, y):
+            table[x] = B.table[y]
+    return CIFSet(m.source, {x: table[x] for x in space_vectors(m.source)})

@@ -249,3 +249,86 @@ def test_verify_rejects_file_without_space(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "declares no space" in captured.err
+
+
+L5_DOC = """\
+field 3
+space L dim 5 parity 0 1 1 0 1
+bracket L 1 1 -> 1 0 0 0 0
+bracket L 1 2 -> 1 0 0 0 0
+bracket L 2 2 -> 2 0 0 0 0
+bracket L 4 4 -> 1 0 0 0 0
+cifset A on L default 0/1 0/1 1/1 1/1
+entry A 0 1 0 0 0 deg 1/2 1/2 1/4 1/4
+cifset B on L default 0/1 0/1 1/1 1/1
+entry B 0 1 1 0 0 deg 1/3 1/3 1/2 1/2
+"""
+
+TWO_SPACES_DOC = """\
+field 3
+space H dim 2 parity 0 1
+space K dim 1 parity 0
+cifset A on H default 0/1 0/1 1/1 1/1
+cifset B on K default 0/1 0/1 1/1 1/1
+"""
+
+
+def test_oracle_refusal_on_a_loaded_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "l5.spec"
+    path.write_text(L5_DOC, encoding="utf-8")
+    argv = ["compute", "bracket", str(path), "--left", "A", "--right", "B"]
+    assert run_cli(argv + ["--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: carrier too large for the oracle: 243 > 81\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "sum", "--left", "A", "--right", "B"],
+        ["compute", "intersection", "--left", "A", "--right", "B"],
+        ["compute", "bracket", "--left", "A", "--right", "B"],
+        ["check", "homogeneous", "--name", "A", "--with", "B"],
+    ],
+)
+def test_sets_on_different_spaces_are_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "two.spec"
+    path.write_text(TWO_SPACES_DOC, encoding="utf-8")
+    assert run_cli(argv[:2] + [str(path)] + argv[2:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: CIF sets live on different spaces\n"
+
+
+def test_validate_reports_each_map_once(spec_file, capsys, monkeypatch):
+    import ciflie.cli as cli
+
+    calls = []
+    original = cli.validate_map
+    monkeypatch.setattr(cli, "validate_map", lambda m: calls.append(m) or original(m))
+    assert run_cli(["validate", spec_file]) == 0
+    assert len(calls) == 1
+
+
+def test_invalid_file_gives_the_same_lines_to_every_command(tmp_path, capsys):
+    path = tmp_path / "bad.spec"
+    path.write_text(INVALID_DOC + "cifset A on X default 0/1 0/1 1/1 1/1\n", encoding="utf-8")
+    errs = []
+    for argv in (
+        ["validate", str(path)],
+        ["check", "subspace", str(path), "--name", "A"],
+        ["compute", "scalar", str(path), "--left", "A", "--alpha", "1"],
+        ["verify", "lem-5", str(path), "--trials", "1"],
+    ):
+        assert run_cli(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("space X: super skew-symmetry")
+    assert errs == [errs[0]] * 4
+
+
+def test_carrier_limit_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "big.spec"
+    path.write_text("field 13\nspace X dim 6 parity 0 0 0 0 0 0\n", encoding="utf-8")
+    assert run_cli(["validate", str(path)]) == 2
+    assert "load error: line 2: carrier too large" in capsys.readouterr().err

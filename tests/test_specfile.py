@@ -131,3 +131,27 @@ def test_parser_total_on_arbitrary_text(text):
         parse_spec(text)
     except SpecError:
         pass
+
+
+BIG_DOC = """\
+field 13
+space X dim 6 parity 0 0 0 0 0 0
+cifset A on X default 0/1 0/1 1/1 1/1
+"""
+
+
+def test_carrier_limit_refused_at_the_space_statement(no_enumeration):
+    # 13^6 = 4826809 vectors per set; refused before the set is built
+    with pytest.raises(SpecError) as err:
+        parse_spec(BIG_DOC)
+    assert err.value.line == 2
+    assert "carrier too large: 13^6 = 4826809 vectors" in err.value.message
+    assert "at most 3125" in err.value.message
+
+
+def test_largest_supported_carriers_load():
+    for p, dim in ((5, 5), (3, 6), (2, 6)):
+        doc = f"field {p}\nspace X dim {dim} parity {' '.join('0' * dim)}\n"
+        assert parse_spec(doc).algebras["X"].size <= 3125
+    with pytest.raises(SpecError, match="dim must be in 1..6, got 7"):
+        parse_spec("field 2\nspace X dim 7 parity 0 0 0 0 0 0 0\n")

@@ -11,7 +11,6 @@ from ciflie import (
     abelian_superalgebra,
     apply_map,
     bracket_eval,
-    fiber,
     graded_split,
     space_vectors,
     span_closure,
@@ -19,7 +18,7 @@ from ciflie import (
     validate_map,
     validate_superalgebra,
 )
-from ciflie.superalgebra import SpanBuilder, SubspaceBasis
+from ciflie.superalgebra import MAX_CARRIER, SpanBuilder, SubspaceBasis
 
 
 def test_prime_field_rejects_nonprime():
@@ -201,32 +200,6 @@ def test_anti_condition_extends_to_all_vectors(H):
             assert lhs == rhs
 
 
-def test_fiber_examples(H, AB2):
-    ident = GradedMap(H, H, ((1, 0), (0, 1)))
-    assert fiber(ident, (2, 1)) == [(2, 1)]
-
-    zero = GradedMap(AB2, AB2, ((0, 0), (0, 0)))
-    assert fiber(zero, (0, 0)) == sorted(space_vectors(AB2))
-    assert fiber(zero, (1, 0)) == []
-
-    phi = GradedMap(H, H, ((2, 0), (0, 1)))
-    assert fiber(phi, (1, 0)) == [(2, 0)]
-
-
-def test_fiber_contains_preimage_point(H):
-    rng = random.Random(5)
-    phi = GradedMap(H, H, ((2, 0), (0, 2)))
-    for _ in range(20):
-        x = tuple(rng.randrange(3) for _ in range(2))
-        assert x in fiber(phi, apply_map(phi, x))
-
-
-def test_fiber_partitions_source(L3):
-    proj = GradedMap(L3, L3, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
-    total = sum(len(fiber(proj, y)) for y in space_vectors(L3))
-    assert total == L3.size
-
-
 @given(st.integers(0, 2**30))
 def test_span_builder_matches_subspace_basis(seed):
     rng = random.Random(seed)
@@ -238,3 +211,12 @@ def test_span_builder_matches_subspace_basis(seed):
     basis = builder.to_basis()
     for probe in itertools.product(range(3), repeat=3):
         assert builder.contains(probe) == basis.contains(probe)
+
+
+def test_carrier_limit_refused_before_enumeration(no_enumeration):
+    zero = ((0,) * 6,) * 6
+    with pytest.raises(ValueError, match=r"carrier too large: 13\^6 = 4826809"):
+        Superalgebra(PrimeField(13), 6, (0,) * 6, (zero,) * 6)
+    with pytest.raises(ValueError, match=r"carrier too large: 7\^5 = 16807"):
+        abelian_superalgebra(PrimeField(7), (0, 1, 0, 1, 0))
+    assert abelian_superalgebra(PrimeField(5), (0, 1, 0, 1, 0)).size == MAX_CARRIER
