@@ -15,8 +15,6 @@ from .degrees import (
     deg_join,
     deg_leq,
     deg_meet,
-    family_inf,
-    family_sup,
 )
 from .superalgebra import (
     GradedMap,

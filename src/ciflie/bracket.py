@@ -44,7 +44,7 @@ from .cifset import (
     component_extension,
     from_columns,
     is_z2_graded,
-    level_sets,
+    merged_levels,
     phase_bounds,
 )
 from .degrees import BOTTOM, CIFDegree, Degree, TOP, deg_join, deg_leq, deg_meet
@@ -76,12 +76,13 @@ class LevelCutLadder:
     cuts: tuple[SubspaceBasis, ...]
 
 
-def _cut_spans(alg, thresholds, enter_a: dict, enter_b: dict):
-    """Yield (t, span of the cut brackets) along ``thresholds``.
+def _cut_spans(alg, steps):
+    """Yield (t, span of the cut brackets) along ``steps``.
 
-    ``enter_a[t]`` lists the vectors that join A's cut at t.  Only the
-    vectors that raise the rank of a side's span are kept as its basis,
-    and only brackets with a new basis vector are taken, so the whole
+    Each step is (t, the vectors that join A's cut at t, the vectors
+    that join B's cut at t), in sweep order.  Only the vectors that
+    raise the rank of a side's span are kept as its basis, and only
+    brackets with a new basis vector are taken, so the whole
     sweep makes at most rank_A * rank_B bracket evaluations.  Nothing is
     yielded before both cuts are nonempty: no pair clears those
     thresholds, so they do not hold even the zero vector.
@@ -92,13 +93,11 @@ def _cut_spans(alg, thresholds, enter_a: dict, enter_b: dict):
     basis_a: list[Vector] = []
     basis_b: list[Vector] = []
     seen_a = seen_b = False
-    for t in thresholds:
-        group_a = enter_a.get(t, ())
-        group_b = enter_b.get(t, ())
+    for t, group_a, group_b in steps:
         seen_a = seen_a or bool(group_a)
         seen_b = seen_b or bool(group_b)
-        new_a = [a for a in group_a if span_a.rank < alg.dim and span_a.add(a)]
-        new_b = [b for b in group_b if span_b.rank < alg.dim and span_b.add(b)]
+        new_a = [a for a in group_a if span_a.add(a)]
+        new_b = [b for b in group_b if span_b.add(b)]
         basis_b += new_b
         for a in new_a:
             for b in basis_b:
@@ -174,7 +173,9 @@ def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
                 out.setdefault(first[d], []).append(x)
         return out
 
-    cuts = [span.to_basis() for _, span in _cut_spans(alg, order, entries(A), entries(B))]
+    entries_a, entries_b = entries(A), entries(B)
+    steps = ((t, entries_a.get(t, ()), entries_b.get(t, ())) for t in order)
+    cuts = [span.to_basis() for _, span in _cut_spans(alg, steps)]
     return LevelCutLadder(side, tuple(order), tuple(cuts))
 
 
@@ -193,12 +194,9 @@ def _component(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool, def
     threshold whose cut span holds it, ``default`` when none does."""
     alg = A.space
     vectors = space_vectors(alg)
-    enter_a = dict(level_sets(A, side, attr, descending))
-    enter_b = dict(level_sets(B, side, attr, descending))
-    thresholds = sorted(enter_a.keys() | enter_b.keys(), reverse=descending)
     value: dict[Vector, Fraction] = {}
     rank = -1
-    for t, span in _cut_spans(alg, thresholds, enter_a, enter_b):
+    for t, span in _cut_spans(alg, merged_levels(A, B, side, attr, descending)):
         if span.rank > rank:
             rank = span.rank
             for x in span.to_basis().members():
@@ -234,9 +232,7 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     return from_columns(alg, columns, notes)
 
 
-def bracket_product_oracle(
-    A: CIFSet, B: CIFSet, *, carrier_cap: int = ORACLE_CARRIER_CAP
-) -> CIFSet:
+def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     """Dynamic-programming fixpoint realization of the bracket product.
 
     Seed every x with the componentwise best over single terms
@@ -247,9 +243,9 @@ def bracket_product_oracle(
     exactly.
     """
     alg = _same_space(A, B)
-    if alg.size > carrier_cap:
+    if alg.size > ORACLE_CARRIER_CAP:
         raise ValueError(
-            f"carrier too large for the oracle: {alg.size} > {carrier_cap}"
+            f"carrier too large for the oracle: {alg.size} > {ORACLE_CARRIER_CAP}"
         )
     p = alg.field.p
     vectors = space_vectors(alg)

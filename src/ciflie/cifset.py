@@ -37,6 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .degrees import (
@@ -206,29 +207,36 @@ COMPONENTS = (
 )
 
 
-def level_sets(A: CIFSet, side: str, attr: str, descending: bool) -> list:
-    """(value, vectors taking it) for one component, in sweep order, so
-    the cut at the i-th value is the union of the first i + 1 groups."""
+def level_sets(A: CIFSet, side: str, attr: str) -> dict[Fraction, list[Vector]]:
+    """Each value of one component, with the vectors taking it in
+    carrier order."""
     groups: dict[Fraction, list[Vector]] = {}
     for x in space_vectors(A.space):
         groups.setdefault(getattr(getattr(A.table[x], side), attr), []).append(x)
-    return sorted(groups.items(), reverse=descending)
+    return groups
 
 
-def _cuts_are_subspaces(A: CIFSet) -> bool:
+def merged_levels(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool):
+    """Yield (t, A's vectors at t, B's vectors at t) over the values
+    either set takes on one component, in sweep order."""
+    levels_a = level_sets(A, side, attr)
+    levels_b = level_sets(B, side, attr)
+    for t in sorted(levels_a.keys() | levels_b.keys(), reverse=descending):
+        yield t, levels_a.get(t, []), levels_b.get(t, [])
+
+
+def _cut_sweep(A: CIFSet):
+    """Yield (side, attr, descending, t, gained, is_subspace) per
+    component and threshold, in sweep order: the basis vectors the cut
+    gains at t, and whether the cut is a subspace (|cut| = p^rank)."""
     alg = A.space
-    p = alg.field.p
     for side, attr, descending, _ in COMPONENTS:
         span = SpanBuilder(alg.field, alg.dim)
         size = 0
-        for _, xs in level_sets(A, side, attr, descending):
-            for x in xs:
-                if span.rank < alg.dim:
-                    span.add(x)
+        for t, xs in sorted(level_sets(A, side, attr).items(), reverse=descending):
+            gained = [x for x in xs if span.add(x)]
             size += len(xs)
-            if size != p ** span.rank:
-                return False
-    return True
+            yield side, attr, descending, t, gained, size == alg.field.p ** span.rank
 
 
 def is_cif_subspace(A: CIFSet) -> Report:
@@ -236,7 +244,7 @@ def is_cif_subspace(A: CIFSet) -> Report:
 
     Decided by the cut criterion; a failure is rescanned for its witness.
     """
-    if _cuts_are_subspaces(A):
+    if all(is_subspace for *_, is_subspace in _cut_sweep(A)):
         return Report(True)
     return _subspace_witness(A)
 
@@ -305,17 +313,13 @@ def _cuts_absorb_bracket(A: CIFSet) -> bool:
     is checked at the cut it enters; the later cuts contain that one."""
     alg = A.space
     basis = [alg.basis(j) for j in range(alg.dim)]
-    for side, attr, descending, _ in COMPONENTS:
-        span = SpanBuilder(alg.field, alg.dim)
-        for t, xs in level_sets(A, side, attr, descending):
-            for x in xs:
-                if span.rank == alg.dim or not span.add(x):
-                    continue
-                for e in basis:
-                    for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x)):
-                        c = getattr(getattr(A.table[g], side), attr)
-                        if (c < t) if descending else (c > t):
-                            return False
+    for side, attr, descending, t, gained, _ in _cut_sweep(A):
+        for x in gained:
+            for e in basis:
+                for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x)):
+                    c = getattr(getattr(A.table[g], side), attr)
+                    if (c < t) if descending else (c > t):
+                        return False
     return True
 
 
@@ -390,14 +394,10 @@ def _sum_component(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool)
     alg = A.space
     p = alg.field.p
     vectors = space_vectors(alg)
-    levels_a = dict(level_sets(A, side, attr, descending))
-    levels_b = dict(level_sets(B, side, attr, descending))
     value: dict[Vector, Fraction] = {}
     cut_a: list[Vector] = []
     cut_b: list[Vector] = []
-    for t in sorted(levels_a.keys() | levels_b.keys(), reverse=descending):
-        new_a = levels_a.get(t, [])
-        new_b = levels_b.get(t, [])
+    for t, new_a, new_b in merged_levels(A, B, side, attr, descending):
         if len(cut_a) + len(new_a) + len(cut_b) + len(new_b) > len(vectors):
             for x in vectors:
                 value.setdefault(x, t)
@@ -445,30 +445,21 @@ def scalar_action(alpha: int, A: CIFSet) -> CIFSet:
 
 
 def image(m: GradedMap, A: CIFSet) -> CIFSet:
-    """Push A forward: componentwise max of memberships over each fiber,
-    componentwise min of non-memberships; no membership off the image."""
+    """Push A forward: per component, the max over each fiber for the
+    memberships and the min for the non-memberships.  Off the image each
+    component takes its off-cut value, so those vectors get EMPTY."""
     if A.space != m.source:
         raise ValueError("set does not live on the map's source")
-    best: dict[Vector, list[Fraction]] = {}
+    fibers: dict[Vector, list[CIFDegree]] = {}
     for x in space_vectors(m.source):
-        y = apply_map(m, x)
-        d = A.table[x]
-        acc = best.get(y)
-        if acc is None:
-            best[y] = [d.mem.r, d.mem.w, d.non.r, d.non.w]
-        else:
-            acc[0] = max(acc[0], d.mem.r)
-            acc[1] = max(acc[1], d.mem.w)
-            acc[2] = min(acc[2], d.non.r)
-            acc[3] = min(acc[3], d.non.w)
-    table: dict[Vector, CIFDegree] = {}
-    for y in space_vectors(m.target):
-        acc = best.get(y)
-        if acc is None:
-            table[y] = EMPTY
-        else:
-            table[y] = CIFDegree(Degree(acc[0], acc[1]), Degree(acc[2], acc[3]))
-    return CIFSet(m.target, table)
+        fibers.setdefault(apply_map(m, x), []).append(A.table[x])
+    columns = []
+    for side, attr, descending, off in COMPONENTS:
+        best, get = (max if descending else min), attrgetter(f"{side}.{attr}")
+        columns.append(
+            [best(map(get, fibers.get(y, ())), default=off) for y in space_vectors(m.target)]
+        )
+    return from_columns(m.target, columns, ())
 
 
 def preimage(m: GradedMap, B: CIFSet) -> CIFSet:

@@ -3,9 +3,7 @@
 A degree is a pair (r, w) of rationals in [0, 1]: an amplitude r and a
 normalized phase w, standing for the complex value r*exp(i*2*pi*w).
 Degrees are compared componentwise, so the order is partial.  Sups and
-infs of finite families are componentwise maxima/minima together with a
-flag telling whether the bound is attained by a member of the family;
-families that form a chain always attain their bounds.
+infs of finite families are componentwise maxima/minima.
 
 Everything is a Fraction.  Floats would turn the downstream theorem
 checks into tolerance games, so they are rejected at construction.
@@ -15,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -64,28 +62,6 @@ def deg_meet(a: Degree, b: Degree) -> Degree:
 
 def deg_join(a: Degree, b: Degree) -> Degree:
     return Degree(max(a.r, b.r), max(a.w, b.w))
-
-
-def family_sup(ds: Iterable[Degree]) -> tuple[Degree, bool]:
-    """Least upper bound of a nonempty family plus attainment flag.
-
-    The flag is True exactly when the family has a greatest element, in
-    which case the returned bound is that element.
-    """
-    pool = list(ds)
-    if not pool:
-        raise ValueError("family_sup requires a nonempty family")
-    bound = Degree(max(d.r for d in pool), max(d.w for d in pool))
-    return bound, bound in pool
-
-
-def family_inf(ds: Iterable[Degree]) -> tuple[Degree, bool]:
-    """Greatest lower bound of a nonempty family plus attainment flag."""
-    pool = list(ds)
-    if not pool:
-        raise ValueError("family_inf requires a nonempty family")
-    bound = Degree(min(d.r for d in pool), min(d.w for d in pool))
-    return bound, bound in pool
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 _POOL_GRID = 60
+# Degrees in every generated pool, hence the deepest chain of crisp
+# subspaces a generated set is cut from.
+CHAIN_LENGTH = 3
+_ANTI_HOM_ATTEMPTS = 200
 
 
 def make_degree_pool(rng: random.Random, length: int) -> tuple[CIFDegree, ...]:
@@ -78,29 +82,24 @@ class GenConfig:
 
     seed: int
     algebra: Superalgebra
-    chain_length: int = 3
-    degree_pool: tuple[CIFDegree, ...] = ()
+    degree_pool: tuple[CIFDegree, ...]
 
     def __post_init__(self) -> None:
-        if not 2 <= self.chain_length <= 4:
-            raise ValueError("chain_length must be in 2..4")
-        if self.degree_pool:
-            _check_pool_chain(self.degree_pool)
+        _check_pool_chain(self.degree_pool)
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
 
-def make_config(seed: int, algebra: Superalgebra, chain_length: int = 3) -> GenConfig:
+def make_config(seed: int, algebra: Superalgebra) -> GenConfig:
     """Config with a pool derived deterministically from the seed."""
     rng = random.Random(derive_seed(seed, 0))
-    pool = make_degree_pool(rng, chain_length)
-    return GenConfig(seed, algebra, chain_length, pool)
+    return GenConfig(seed, algebra, make_degree_pool(rng, CHAIN_LENGTH))
 
 
 def trial_config(cfg: GenConfig, index: int) -> GenConfig:
     """Per-trial config: derived seed and a fresh pool for that seed."""
-    return make_config(derive_seed(cfg.seed, index + 1), cfg.algebra, cfg.chain_length)
+    return make_config(derive_seed(cfg.seed, index + 1), cfg.algebra)
 
 
 def _random_vector(alg: Superalgebra, rng: random.Random) -> Vector:
@@ -276,9 +275,7 @@ def _random_graded_invertible(
     return tuple(rows)
 
 
-def gen_anti_hom(
-    cfg: GenConfig, rng: random.Random | None = None, attempts: int = 200
-) -> GradedMap:
+def gen_anti_hom(cfg: GenConfig, rng: random.Random | None = None) -> GradedMap:
     """A surjective anti-homomorphism of the config's algebra onto itself.
 
     Samples grading-preserving invertible matrices and keeps the first
@@ -289,7 +286,7 @@ def gen_anti_hom(
     """
     rng = rng or cfg.rng()
     alg = cfg.algebra
-    for _ in range(attempts):
+    for _ in range(_ANTI_HOM_ATTEMPTS):
         rows = _random_graded_invertible(alg, rng)
         if rows is None:
             continue
@@ -308,22 +305,5 @@ def gen_anti_hom(
         if rep.ok and rep.surjective:
             return candidate
     raise GenExhausted(
-        f"no anti-homomorphism found within {attempts} attempts"
+        f"no anti-homomorphism found within {_ANTI_HOM_ATTEMPTS} attempts"
     )
-
-
-__all__ = [
-    "GenConfig",
-    "GenExhausted",
-    "crisp_ideal_closure",
-    "derive_seed",
-    "gen_anti_hom",
-    "gen_cif_ideal",
-    "gen_cif_set",
-    "gen_cif_subspace",
-    "gen_pair",
-    "gen_random_table",
-    "make_config",
-    "make_degree_pool",
-    "trial_config",
-]

@@ -237,59 +237,60 @@ def validate_superalgebra(alg: Superalgebra) -> Report:
     return Report(ok=not failures, failures=tuple(failures))
 
 
+def _eliminate(p: int, rows: Iterable[tuple[int, Vector]], v: Sequence[int]) -> list[int]:
+    """v reduced mod p by fully reduced echelon ``rows``, given as
+    (pivot column, row) pairs with pivots normalized to 1.  Each row is
+    zero at the other rows' pivots, so the order of the rows is free."""
+    work = [c % p for c in v]
+    for col, row in rows:
+        factor = work[col]
+        if factor:
+            for k in range(col, len(work)):
+                work[k] = (work[k] - factor * row[k]) % p
+    return work
+
+
 class SpanBuilder:
     """Incremental echelon accumulator for spans over F_p.
 
-    Rows are kept with normalized pivots keyed by pivot column, so
-    membership tests are a single reduction pass.
+    Rows are kept fully reduced with normalized pivots, keyed by pivot
+    column, so membership tests are a single reduction pass and the
+    rows read in pivot order are the reduced row-echelon basis.
     """
 
     def __init__(self, field: PrimeField, dim: int) -> None:
         self.field = field
         self.dim = dim
-        self._rows: dict[int, tuple[int, ...]] = {}
-
-    def _reduce(self, v: Sequence[int]) -> list[int]:
-        p = self.field.p
-        work = [c % p for c in v]
-        for col in sorted(self._rows):
-            if work[col]:
-                factor = work[col]
-                row = self._rows[col]
-                for k in range(col, self.dim):
-                    work[k] = (work[k] - factor * row[k]) % p
-        return work
+        self._rows: dict[int, Vector] = {}
 
     def add(self, v: Sequence[int]) -> bool:
         """Insert v into the span; True if the rank grew."""
-        work = self._reduce(v)
+        if len(self._rows) == self.dim:
+            return False
+        p = self.field.p
+        work = _eliminate(p, self._rows.items(), v)
         pivot = next((k for k, c in enumerate(work) if c), None)
         if pivot is None:
             return False
         inv = self.field.inv(work[pivot])
-        self._rows[pivot] = tuple((inv * c) % self.field.p for c in work)
+        new = tuple((inv * c) % p for c in work)
+        for col, row in list(self._rows.items()):
+            factor = row[pivot]
+            if factor:
+                self._rows[col] = tuple((a - factor * b) % p for a, b in zip(row, new))
+        self._rows[pivot] = new
         return True
 
     def contains(self, v: Sequence[int]) -> bool:
-        return all(c == 0 for c in self._reduce(v))
+        return not any(_eliminate(self.field.p, self._rows.items(), v))
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def to_basis(self) -> "SubspaceBasis":
-        p = self.field.p
-        pivots = sorted(self._rows)
-        rows = [list(self._rows[c]) for c in pivots]
-        # Back-eliminate above each pivot for the reduced echelon form.
-        for idx in range(len(pivots) - 1, -1, -1):
-            col = pivots[idx]
-            for above in range(idx):
-                factor = rows[above][col]
-                if factor:
-                    for k in range(col, self.dim):
-                        rows[above][k] = (rows[above][k] - factor * rows[idx][k]) % p
-        return SubspaceBasis(self.field, self.dim, tuple(tuple(r) for r in rows))
+        rows = tuple(self._rows[c] for c in sorted(self._rows))
+        return SubspaceBasis(self.field, self.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -301,21 +302,22 @@ class SubspaceBasis:
     rows: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        last_pivot = -1
+        pivots: list[int] = []
         for row in self.rows:
             if len(row) != self.dim:
                 raise ValueError("basis row has wrong length")
             pivot = next((k for k, c in enumerate(row) if c), None)
             if pivot is None:
                 raise ValueError("basis rows must be nonzero")
-            if pivot <= last_pivot:
+            if pivots and pivot <= pivots[-1]:
                 raise ValueError("pivot columns must strictly increase")
             if row[pivot] != 1:
                 raise ValueError("pivots must be normalized to 1")
             for other in self.rows:
                 if other is not row and other[pivot] != 0:
                     raise ValueError("basis must be fully reduced")
-            last_pivot = pivot
+            pivots.append(pivot)
+        object.__setattr__(self, "_pivoted", tuple(zip(pivots, self.rows)))
 
     @property
     def rank(self) -> int:
@@ -324,15 +326,7 @@ class SubspaceBasis:
     def contains(self, v: Vector) -> bool:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        p = self.field.p
-        work = [c % p for c in v]
-        for row in self.rows:
-            pivot = next(k for k, c in enumerate(row) if c)
-            if work[pivot]:
-                factor = work[pivot]
-                for k in range(pivot, self.dim):
-                    work[k] = (work[k] - factor * row[k]) % p
-        return all(c == 0 for c in work)
+        return not any(_eliminate(self.field.p, self._pivoted, v))
 
     def members(self) -> Iterable[Vector]:
         """Enumerate every vector of the spanned subspace."""

@@ -52,3 +52,13 @@ def no_enumeration(monkeypatch):
         raise AssertionError(f"enumerated a carrier of {alg.size} vectors")
 
     rebind_everywhere(space_vectors, refuse, monkeypatch.setattr)
+
+
+@pytest.fixture(scope="session")
+def L4():
+    """Four-dimensional algebra over F_5 (|V| = 625): e = b0 even and
+    central, [b1,b1] = e, [b1,b2] = e, [b2,b2] = 2e."""
+    e = (1, 0, 0, 0)
+    return superalgebra_from_pairs(
+        PrimeField(5), (0, 1, 1, 0), {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0)}
+    )

@@ -93,6 +93,30 @@ def test_check_other_predicates(spec_file, capsys):
     assert run_cli(["check", "direct-sum", spec_file, "--name", "A", "--with", "B"]) == 3
 
 
+ANTI_FAIL_DOC = """\
+field 3
+space H dim 2 parity 0 1
+bracket H 1 1 -> 1 0
+map psi H -> H kind anti rows 1 0 / 0 1
+"""
+
+
+def test_check_anti_hom_reports_a_failing_map(tmp_path, capsys):
+    path = tmp_path / "psi.spec"
+    path.write_text(ANTI_FAIL_DOC, encoding="utf-8")
+    argv = ["check", "anti-hom", str(path), "--name", "psi"]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "anti-hom psi: FAIL (surjective)\n"
+    assert captured.err == "anti condition: phi([b1, b1]) != -[phi(b1), phi(b1)]\n"
+    # another map that fails validation still makes the file a load error
+    path.write_text(ANTI_FAIL_DOC + "map chi H -> H kind anti rows 1 0 / 0 1\n", encoding="utf-8")
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "map chi: anti condition: phi([b1, b1]) != -[phi(b1), phi(b1)]\n"
+
+
 def test_check_unknown_name(spec_file, capsys):
     assert run_cli(["check", "subspace", spec_file, "--name", "ZZZ"]) == 2
 

@@ -12,8 +12,6 @@ from ciflie import (
     deg_join,
     deg_leq,
     deg_meet,
-    family_inf,
-    family_sup,
 )
 
 units = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -45,37 +43,6 @@ def test_meet_join_examples():
     a = Degree("1/5", "3/7")
     assert deg_meet(a, TOP) == a
     assert deg_join(a, BOTTOM) == a
-
-
-def test_family_sup_examples():
-    assert family_sup([Degree("1/2", "1/4"), Degree("2/3", "1/3")]) == (
-        Degree("2/3", "1/3"),
-        True,
-    )
-    assert family_sup([Degree("1/2", "2/3"), Degree("2/3", "1/3")]) == (
-        Degree("2/3", "2/3"),
-        False,
-    )
-    assert family_sup([BOTTOM]) == (BOTTOM, True)
-
-
-def test_family_inf_examples():
-    assert family_inf([Degree("1/2", "1/4"), Degree("2/3", "1/3")]) == (
-        Degree("1/2", "1/4"),
-        True,
-    )
-    assert family_inf([Degree("1/2", "2/3"), Degree("2/3", "1/3")]) == (
-        Degree("1/2", "1/3"),
-        False,
-    )
-    assert family_inf([TOP]) == (TOP, True)
-
-
-def test_family_ops_reject_empty():
-    with pytest.raises(ValueError):
-        family_sup([])
-    with pytest.raises(ValueError):
-        family_inf([])
 
 
 @given(degrees)
@@ -122,24 +89,6 @@ def test_lattice_absorption(a, b):
 @given(degrees, degrees)
 def test_order_agrees_with_lattice(a, b):
     assert deg_leq(a, b) == (deg_meet(a, b) == a) == (deg_join(a, b) == b)
-
-
-@given(st.lists(degrees, min_size=1, max_size=6))
-def test_family_sup_is_least_upper_bound(ds):
-    bound, attained = family_sup(ds)
-    assert all(deg_leq(d, bound) for d in ds)
-    # any other upper bound dominates it
-    others = [Degree(max(d.r for d in ds), max(d.w for d in ds))]
-    for other in others:
-        assert deg_leq(bound, other)
-    assert attained == (bound in ds)
-
-
-@given(st.lists(degrees, min_size=1, max_size=6))
-def test_family_inf_is_greatest_lower_bound(ds):
-    bound, attained = family_inf(ds)
-    assert all(deg_leq(bound, d) for d in ds)
-    assert attained == (bound in ds)
 
 
 @given(degrees)

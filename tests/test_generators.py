@@ -18,7 +18,13 @@ from ciflie import (
     validate_map,
 )
 from ciflie.cifset import table_fingerprint
-from ciflie.generators import GenConfig, crisp_ideal_closure, derive_seed, trial_config
+from ciflie.generators import (
+    CHAIN_LENGTH,
+    GenConfig,
+    crisp_ideal_closure,
+    derive_seed,
+    trial_config,
+)
 
 
 def test_pool_is_a_chain():
@@ -31,10 +37,10 @@ def test_pool_is_a_chain():
 
 
 def test_config_validates_pool(H):
-    with pytest.raises(ValueError):
-        GenConfig(0, H, chain_length=5)
     cfg = make_config(3, H)
-    assert len(cfg.degree_pool) == cfg.chain_length
+    with pytest.raises(ValueError):
+        GenConfig(0, H, cfg.degree_pool[::-1])
+    assert len(cfg.degree_pool) == CHAIN_LENGTH
 
 
 def test_subspace_generator_sound(H, L3):

@@ -20,12 +20,14 @@ from ciflie import (
     bracket_eval,
     bracket_product,
     bracket_product_oracle,
+    check_theorem,
     cif_degree,
     cif_sum,
     first_difference,
     is_cif_ideal,
     is_cif_subspace,
     is_homogeneous,
+    is_trivial,
     make_cifset,
     pair_homogeneous,
     space_vectors,
@@ -223,22 +225,48 @@ def test_bracket_evaluations_bounded_by_four_dim_squared(L5, monkeypatch):
     assert 0 < len(calls) <= 4 * L5.dim ** 2
 
 
+def test_l4_cut_operations(L4, monkeypatch):
+    """|V| = 625 is beyond both references, so the checks here are the
+    evaluation bound and the structure the laws promise."""
+    assert validate_superalgebra(L4).ok
+    calls = []
+
+    def counted(alg, x, y):
+        calls.append(1)
+        return bracket_eval(alg, x, y)
+
+    monkeypatch.setattr(bracket_module, "bracket_eval", counted)
+    rng = random.Random(4)
+    S1, S2 = gen_pair(make_config(0, L4), kind="subspace")
+    N1, N2 = gen_random_table(L4, rng), gen_random_table(L4, rng)
+    products = []
+    for A, B in ((S1, S2), (N1, N2)):
+        calls.clear()
+        products.append(bracket_product(A, B))
+        assert len(calls) <= 4 * L4.dim ** 2
+    K, N = products
+    assert not is_trivial(K)
+    assert is_cif_subspace(K) and is_cif_subspace(cif_sum(S1, S2))
+    assert N.notes
+    assert check_theorem("lem-3", make_config(1, L4), 2).passed
+
+
 CUT_SPANS = bracket_module._cut_spans
 
 
-def _drop_top_threshold(alg, thresholds, enter_a, enter_b):
-    yield from CUT_SPANS(alg, thresholds[1:], enter_a, enter_b)
+def _drop_top_threshold(alg, steps):
+    yield from CUT_SPANS(alg, list(steps)[1:])
 
 
-def _skip_old_a_new_b(alg, thresholds, enter_a, enter_b):
+def _skip_old_a_new_b(alg, steps):
     """The cut kernel without the [old basis_A, new basis_B] brackets."""
     span_a = SpanBuilder(alg.field, alg.dim)
     span_b = SpanBuilder(alg.field, alg.dim)
     out = SpanBuilder(alg.field, alg.dim)
     basis_b = []
-    for t in thresholds:
-        new_a = [a for a in enter_a.get(t, ()) if span_a.add(a)]
-        basis_b += [b for b in enter_b.get(t, ()) if span_b.add(b)]
+    for t, group_a, group_b in steps:
+        new_a = [a for a in group_a if span_a.add(a)]
+        basis_b += [b for b in group_b if span_b.add(b)]
         for a in new_a:
             for b in basis_b:
                 out.add(bracket_eval(alg, a, b))

@@ -1,0 +1,38 @@
+"""The experiment drivers under scripts/ run end to end at a tiny size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_run_catalog_with_one_trial_keeps_the_controls_budget():
+    done = run_script("run_catalog.py", "--trials", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    controls = [line.split() for line in lines if line.startswith("neg-controls")]
+    assert [c[1] for c in controls] == ["H", "L3"]
+    assert all(c[-1] == "pass" for c in controls)
+    assert lines[-1].startswith("total: ") and lines[-1].endswith(", 0 failing entries")
+
+
+def test_oracle_sweep_small():
+    done = run_script("oracle_sweep.py", "--pairs", "5", "--pairs-dim3", "5")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == [
+        "H: 5 pairs checked, 1 of them random-degree",
+        "L3: 5 pairs checked, 1 of them random-degree",
+    ]
+    assert lines[2].startswith("0 mismatches in ")
