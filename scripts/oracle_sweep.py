@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Cross-check the ladder bracket product against the fixpoint oracle.
+"""Cross-check the ladder bracket product against the coset-closure oracle.
 
 Sweeps seeded homogeneous pairs of generated CIF subspaces and demands
-exact table equality between the two independent algorithms.  Every
+exact table equality between the two independent algorithms.  The
+oracle seeds each crisp bracket with its best single-term value and
+grows the additive closure one coset at a time; it uses no spans, and
+takes carriers of up to 625 vectors.  Every
 RANDOM_EVERY-th pair is instead a pair of random-degree tables, usually
 non-homogeneous, so the componentwise reading of the bracket is swept
 as well.

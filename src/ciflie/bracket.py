@@ -25,15 +25,21 @@ carries a note.  Whether the meets (joins) of the values form a chain is
 decided from the sorted distinct values of each side, without forming
 the k_A * k_B meets.
 
-The oracle is a dynamic-programming fixpoint over single-term values,
-sharing no span machinery with the ladder; agreement between the two is
-the module's keystone correctness property.
+The oracle reads each component through its level subgroups (Das's
+level subgroups of a fuzzy group; Zadeh's resolution identity): each
+crisp bracket g is seeded with its best single-term value, and the
+seeds, swept best first, grow the additive closure one coset at a time,
+so each vector is reached once.  It uses vector addition only, no spans
+or echelon forms, and agreement between the two is the module's keystone
+correctness property.  It enumerates all |V|^2 argument pairs, so it
+refuses carriers above ORACLE_CARRIER_CAP = 625 vectors (F_5^4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .cifset import (
     COMPONENTS,
@@ -47,29 +53,25 @@ from .cifset import (
     merged_levels,
     phase_bounds,
 )
-from .degrees import BOTTOM, CIFDegree, Degree, TOP, deg_join, deg_leq, deg_meet
+from .degrees import CIFDegree, Degree, deg_join, deg_leq, deg_meet
 from .superalgebra import (
     SpanBuilder,
     SubspaceBasis,
     Vector,
     bracket_eval,
     space_vectors,
+    vec_add,
     vec_scale,
-    vec_sub,
 )
 
-ORACLE_CARRIER_CAP = 81
+ORACLE_CARRIER_CAP = 625
 
 
 @dataclass(frozen=True)
 class LevelCutLadder:
-    """Thresholds with their cut spans, for one side of a bracket product.
-
-    Membership-side ladders list thresholds in descending order with the
-    cut at each threshold spanning the brackets of argument pairs whose
-    meet dominates it; the cuts grow as the threshold drops.  The
-    non-membership side is dual: ascending thresholds, <=-cuts.
-    """
+    """Thresholds with their cut spans, for one side of a bracket product:
+    descending thresholds with growing cuts spanning the brackets of the
+    pairs whose meet dominates each (membership), or dually ascending."""
 
     side: str
     thresholds: tuple[Degree, ...]
@@ -140,16 +142,6 @@ def _combined_values_form_chain(A: CIFSet, B: CIFSet, side: str) -> bool:
     return True
 
 
-def _achievable(A: CIFSet, B: CIFSet, side: str) -> set[Degree]:
-    """Meets (membership) or joins (non-membership) of the argument
-    degrees: every pair of distinct values is taken by some (a, b)."""
-    combine = deg_meet if side == "mem" else deg_join
-    vectors = space_vectors(A.space)
-    left = {getattr(A.table[x], side) for x in vectors}
-    right = {getattr(B.table[x], side) for x in vectors}
-    return {combine(u, v) for u in left for v in right}
-
-
 def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
     """Joint amplitude-phase ladder; the achievable values must be a chain."""
     alg = _same_space(A, B)
@@ -157,7 +149,11 @@ def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
         word = "membership" if side == "mem" else "non-membership"
         raise ValueError(f"achievable {word} degrees do not form a chain")
     mem = side == "mem"
-    order = sorted(_achievable(A, B, side), key=lambda d: (d.r, d.w), reverse=mem)
+    # every pair of distinct values is taken by some (a, b)
+    combine = deg_meet if mem else deg_join
+    left, right = ({getattr(S.table[x], side) for x in space_vectors(alg)} for S in (A, B))
+    achievable = {combine(u, v) for u in left for v in right}
+    order = sorted(achievable, key=lambda d: (d.r, d.w), reverse=mem)
 
     def entries(S: CIFSet) -> dict:
         # a vector joins the first cut whose threshold its degree clears
@@ -233,59 +229,66 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
 
 
 def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
-    """Dynamic-programming fixpoint realization of the bracket product.
+    """Coset-closure realization of the bracket product (see above).
 
-    Seed every x with the componentwise best over single terms
-    x = alpha * [a, b], then close under binary sums, joining meets on
-    the membership side and dually on the non-membership side.  The
-    closure stabilizes within |V| rounds.  No span machinery is shared
-    with the ladder algorithm; on homogeneous inputs the two must agree
-    exactly.
+    Per component, a crisp bracket g is seeded with the best min (dually
+    max) over the pairs giving it, ranked so that higher is better; the
+    seeds, best first, grow a closed set S: g outside S adds S + g, ...,
+    S + (p-1)g, each new vector taking g's seed.  Zero takes the top seed,
+    vectors never reached the component default.  Pairs are enumerated
+    per pair of argument degrees, the seeds updated once per distinct g.
     """
     alg = _same_space(A, B)
     if alg.size > ORACLE_CARRIER_CAP:
-        raise ValueError(
-            f"carrier too large for the oracle: {alg.size} > {ORACLE_CARRIER_CAP}"
-        )
+        raise ValueError(f"carrier too large for the oracle: {alg.size} > {ORACLE_CARRIER_CAP}")
     p = alg.field.p
     vectors = space_vectors(alg)
+    getters = [attrgetter(f"{side}.{attr}") for side, attr, _, _ in COMPONENTS]
+    levels = [
+        sorted({get(S.table[x]) for S in (A, B) for x in vectors}, reverse=not descending)
+        for get, (_, _, descending, _) in zip(getters, COMPONENTS)
+    ]
+    ranks = [{v: r for r, v in enumerate(level)} for level in levels]
+    classes: tuple[dict, dict] = ({}, {})  # rank tuple -> A's vectors, B's indices
+    for i, x in enumerate(vectors):
+        for S, group, item in ((A, classes[0], x), (B, classes[1], i)):
+            key = tuple(rank[get(S.table[x])] for rank, get in zip(ranks, getters))
+            group.setdefault(key, []).append(item)
 
-    mem: dict[Vector, Degree] = {x: BOTTOM for x in vectors}
-    non: dict[Vector, Degree] = {x: TOP for x in vectors}
-    for a in vectors:
-        da = A.table[a]
-        for b in vectors:
-            db = B.table[b]
-            g = bracket_eval(alg, a, b)
-            m = deg_meet(da.mem, db.mem)
-            n = deg_join(da.non, db.non)
-            for alpha in alg.field.elements:
-                x = vec_scale(p, alpha, g)
-                mem[x] = deg_join(mem[x], m)
-                non[x] = deg_meet(non[x], n)
+    # [a, b] is kept as an unreduced code, 10 bits a coordinate (each a
+    # sum of at most dim terms below p^2, so under 1024), and reduced
+    # mod p once per distinct code after the enumeration.
+    seeds: list[dict[int, int]] = [{} for _ in COMPONENTS]
+    for ra, xs in classes[0].items():
+        found = {rb: set() for rb in classes[1]}
+        for a in xs:
+            row = [0]  # [a, b] for every b, in carrier order
+            for j in range(alg.dim):
+                col = sum(c << 10 * k for k, c in enumerate(bracket_eval(alg, a, alg.basis(j))))
+                steps = [k * col for k in range(p)]
+                row = [x + s for x in row for s in steps]
+            for rb, bs in classes[1].items():
+                found[rb].update(map(row.__getitem__, bs))
+        for rb, gs in found.items():
+            for best, t in zip(seeds, map(min, ra, rb)):
+                for g in gs:
+                    if best.get(g, -1) < t:
+                        best[g] = t
 
-    for _ in range(alg.size):
-        changed = False
-        for x in vectors:
-            best_m = mem[x]
-            best_n = non[x]
-            for u in vectors:
-                v = vec_sub(p, x, u)
-                cand_m = deg_meet(mem[u], mem[v])
-                if not deg_leq(cand_m, best_m):
-                    best_m = deg_join(best_m, cand_m)
-                cand_n = deg_join(non[u], non[v])
-                if not deg_leq(best_n, cand_n):
-                    best_n = deg_meet(best_n, cand_n)
-            if best_m != mem[x] or best_n != non[x]:
-                mem[x] = best_m
-                non[x] = best_n
-                changed = True
-        if not changed:
-            break
-
-    table = {x: CIFDegree(mem[x], non[x]) for x in vectors}
-    return CIFSet(alg, table)
+    reduced = {c: tuple((c >> 10 * k & 1023) % p for k in range(alg.dim)) for c in seeds[0]}
+    columns = []
+    for (_, _, _, default), codes, level in zip(COMPONENTS, seeds, levels):
+        # codes of one vector: the best seed comes last and wins
+        seed = {reduced[c]: t for c, t in sorted(codes.items(), key=lambda item: item[1])}
+        value = {alg.zero(): level[max(seed.values())]}
+        closed = [alg.zero()]
+        for g in sorted(seed, key=seed.__getitem__, reverse=True):
+            if g not in value:
+                coset = [vec_add(p, x, vec_scale(p, k, g)) for k in range(1, p) for x in closed]
+                value.update((x, level[seed[g]]) for x in coset)
+                closed += coset
+        columns.append([value.get(x, default) for x in vectors])
+    return from_columns(alg, columns, ())
 
 
 def bracket_graded_parts(A: CIFSet, B: CIFSet) -> tuple[CIFSet, CIFSet]:

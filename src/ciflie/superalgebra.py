@@ -49,10 +49,6 @@ def vec_add(p: int, u: Vector, v: Vector) -> Vector:
     return tuple((a + b) % p for a, b in zip(u, v))
 
 
-def vec_sub(p: int, u: Vector, v: Vector) -> Vector:
-    return tuple((a - b) % p for a, b in zip(u, v))
-
-
 def vec_scale(p: int, k: int, v: Vector) -> Vector:
     return tuple((k * a) % p for a in v)
 

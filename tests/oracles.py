@@ -7,6 +7,11 @@ ideal and homogeneity predicates over all pairs.  They share no cut
 machinery with the package, so agreement between the two is a check of
 the cut identities, including the notes and the witnesses.
 
+``fixpoint_bracket_product`` is a third reading of the bracket product:
+the dynamic-programming fixpoint over single-term values, quadratic per
+round, checked against both ``bracket_product`` and the coset-closure
+``bracket_product_oracle``.
+
 ``fiber`` solves phi(x) = y by elimination, and ``fiber_image`` and
 ``fiber_preimage`` read the image and the preimage of a CIF set off the
 fibers, without the forward pass over the source that ``ciflie`` makes.
@@ -36,7 +41,14 @@ from ciflie import (
     is_z2_graded,
     space_vectors,
 )
-from ciflie.superalgebra import vec_scale, vec_sub
+from ciflie.cifset import _same_space
+from ciflie.superalgebra import vec_scale
+
+FIXPOINT_CARRIER_CAP = 81
+
+
+def vec_sub(p: int, u: Vector, v: Vector) -> Vector:
+    return tuple((a - b) % p for a, b in zip(u, v))
 
 
 def _degree_pairs(A: CIFSet, B: CIFSet):
@@ -103,6 +115,62 @@ def joint_ladder_bracket(A: CIFSet, B: CIFSet) -> CIFSet:
     mem_assign, _ = _sweep(alg, mem_groups, mem_order, BOTTOM)
     non_assign, _ = _sweep(alg, non_groups, non_order, TOP)
     table = {x: CIFDegree(mem_assign[x], non_assign[x]) for x in space_vectors(alg)}
+    return CIFSet(alg, table)
+
+
+def fixpoint_bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
+    """Dynamic-programming fixpoint realization of the bracket product.
+
+    Seed every x with the componentwise best over single terms
+    x = alpha * [a, b], then close under binary sums, joining meets on
+    the membership side and dually on the non-membership side.  The
+    closure stabilizes within |V| rounds.  No span machinery is shared
+    with the ladder algorithm; on homogeneous inputs the two must agree
+    exactly.
+    """
+    alg = _same_space(A, B)
+    if alg.size > FIXPOINT_CARRIER_CAP:
+        raise ValueError(
+            f"carrier too large for the oracle: {alg.size} > {FIXPOINT_CARRIER_CAP}"
+        )
+    p = alg.field.p
+    vectors = space_vectors(alg)
+
+    mem: dict[Vector, Degree] = {x: BOTTOM for x in vectors}
+    non: dict[Vector, Degree] = {x: TOP for x in vectors}
+    for a in vectors:
+        da = A.table[a]
+        for b in vectors:
+            db = B.table[b]
+            g = bracket_eval(alg, a, b)
+            m = deg_meet(da.mem, db.mem)
+            n = deg_join(da.non, db.non)
+            for alpha in alg.field.elements:
+                x = vec_scale(p, alpha, g)
+                mem[x] = deg_join(mem[x], m)
+                non[x] = deg_meet(non[x], n)
+
+    for _ in range(alg.size):
+        changed = False
+        for x in vectors:
+            best_m = mem[x]
+            best_n = non[x]
+            for u in vectors:
+                v = vec_sub(p, x, u)
+                cand_m = deg_meet(mem[u], mem[v])
+                if not deg_leq(cand_m, best_m):
+                    best_m = deg_join(best_m, cand_m)
+                cand_n = deg_join(non[u], non[v])
+                if not deg_leq(best_n, cand_n):
+                    best_n = deg_meet(best_n, cand_n)
+            if best_m != mem[x] or best_n != non[x]:
+                mem[x] = best_m
+                non[x] = best_n
+                changed = True
+        if not changed:
+            break
+
+    table = {x: CIFDegree(mem[x], non[x]) for x in vectors}
     return CIFSet(alg, table)
 
 

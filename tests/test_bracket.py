@@ -117,8 +117,8 @@ def test_space_mismatch_rejected(H, L3):
 def test_oracle_carrier_cap(F3):
     from ciflie import abelian_superalgebra
 
-    big = abelian_superalgebra(F3, (0, 0, 1, 1, 0))
-    with pytest.raises(ValueError):
+    big = abelian_superalgebra(F3, (0, 0, 1, 1, 0, 1))
+    with pytest.raises(ValueError, match="729 > 625"):
         bracket_product_oracle(trivial_cifset(big), trivial_cifset(big))
 
 

@@ -117,6 +117,28 @@ def test_check_anti_hom_reports_a_failing_map(tmp_path, capsys):
     assert captured.err == "map chi: anti condition: phi([b1, b1]) != -[phi(b1), phi(b1)]\n"
 
 
+@pytest.mark.parametrize(
+    ("rows", "code", "out"),
+    [
+        # [f, f] = e but -[psi f, psi f] = -e: not anti, whatever the kind says
+        ("1 0 / 0 1", 3, "anti-hom psi: FAIL (surjective)\n"),
+        # phi(e) = 2e = -[f, f]: a genuine anti map passes under kind plain
+        ("2 0 / 0 1", 0, "anti-hom psi: PASS (surjective)\n"),
+    ],
+)
+def test_check_anti_hom_tests_a_plain_map_as_anti(tmp_path, capsys, rows, code, out):
+    path = tmp_path / "plain.spec"
+    doc = ANTI_FAIL_DOC.replace("kind anti rows 1 0 / 0 1", f"kind plain rows {rows}")
+    path.write_text(doc, encoding="utf-8")
+    assert run_cli(["check", "anti-hom", str(path), "--name", "psi"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code:
+        assert captured.err == "anti condition: phi([b1, b1]) != -[phi(b1), phi(b1)]\n"
+    # the file itself still validates: a plain map need not be anti
+    assert run_cli(["validate", str(path)]) == 0
+
+
 def test_check_unknown_name(spec_file, capsys):
     assert run_cli(["check", "subspace", spec_file, "--name", "ZZZ"]) == 2
 
@@ -297,14 +319,36 @@ cifset B on K default 0/1 0/1 1/1 1/1
 """
 
 
+DIM6_DOC = """\
+field 3
+space X dim 6 parity 0 1 1 0 1 0
+cifset A on X default 0/1 0/1 1/1 1/1
+cifset B on X default 0/1 0/1 1/1 1/1
+"""
+
+
 def test_oracle_refusal_on_a_loaded_file_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "l5.spec"
-    path.write_text(L5_DOC, encoding="utf-8")
+    path = tmp_path / "dim6.spec"
+    path.write_text(DIM6_DOC, encoding="utf-8")
     argv = ["compute", "bracket", str(path), "--left", "A", "--right", "B"]
     assert run_cli(argv + ["--oracle"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "usage error: carrier too large for the oracle: 243 > 81\n"
+    assert captured.err == "usage error: carrier too large for the oracle: 729 > 625\n"
+    assert run_cli(argv) == 0
+
+
+def test_compute_bracket_with_oracle_on_l5(tmp_path, capsys):
+    path = tmp_path / "l5.spec"
+    path.write_text(L5_DOC, encoding="utf-8")
+    argv = ["compute", "bracket", str(path), "--left", "A", "--right", "B"]
+    assert run_cli(argv + ["--oracle", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_checked"] is True
+    # [b1, b1 + b2] = 2e, and e = 2 * 2e lies in the same coset closure
+    row = {"mem": ["1/3", "1/3"], "non": ["1/2", "1/2"]}
+    for e in ([1, 0, 0, 0, 0], [2, 0, 0, 0, 0]):
+        assert {"vector": e, **row} in payload["result"]
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from ciflie import (
 )
 from ciflie.generators import gen_pair, gen_random_table, make_config
 from oracles import (
+    fixpoint_bracket_product,
     quadratic_bracket_product,
     quadratic_cif_sum,
     quadratic_is_cif_ideal,
@@ -138,7 +139,9 @@ def test_unpinned_tables_match_pairwise_definitions(H, data):
 @given(data=st.data())
 def test_non_homogeneous_bracket_matches_fixpoint_oracle(H, data):
     A, B = data.draw(tables(H)), data.draw(tables(H))
-    assert first_difference(bracket_product(A, B), bracket_product_oracle(A, B)) is None
+    K = bracket_product(A, B)
+    assert first_difference(K, bracket_product_oracle(A, B)) is None
+    assert first_difference(K, fixpoint_bracket_product(A, B)) is None
 
 
 def distinct_chain_table(alg, rng, broken):
@@ -198,8 +201,8 @@ def test_predicate_agreement_sees_both_outcomes(H, L3):
 
 
 def test_l5_bracket_matches_pairwise_ladder(L5):
-    # |V| = 243 is beyond the fixpoint oracle's cap, so the quadratic
-    # ladder is the reference here
+    # |V| = 243 is beyond the fixpoint's cap, so the quadratic ladder is
+    # the reference here; test_oracle checks L5 against the coset oracle
     assert validate_superalgebra(L5).ok
     rng = random.Random(5)
     pairs = [
@@ -226,8 +229,9 @@ def test_bracket_evaluations_bounded_by_four_dim_squared(L5, monkeypatch):
 
 
 def test_l4_cut_operations(L4, monkeypatch):
-    """|V| = 625 is beyond both references, so the checks here are the
-    evaluation bound and the structure the laws promise."""
+    """|V| = 625 is beyond the quadratic references, so the checks here
+    are the evaluation bound and the structure the laws promise; the
+    coset oracle's L4 check is in test_oracle."""
     assert validate_superalgebra(L4).ok
     calls = []
 

@@ -1,0 +1,147 @@
+"""The coset-closure bracket oracle against the other two readings.
+
+``bracket_product_oracle`` seeds each crisp bracket with its best
+single-term value and grows the additive closure one coset at a time;
+``bracket_product`` spans level cuts; ``oracles.fixpoint_bracket_product``
+closes the single-term values under binary sums until nothing changes.
+The three share no code, so their agreement checks each of them.
+"""
+
+import inspect
+import random
+
+import pytest
+
+import ciflie.bracket as bracket_module
+from ciflie import (
+    bracket_product,
+    bracket_product_oracle,
+    first_difference,
+    gen_pair,
+    gen_random_table,
+    is_trivial,
+    make_config,
+)
+from oracles import fixpoint_bracket_product
+
+PAIR_KINDS = ("set", "subspace", "graded", "ideal")
+SPAN_NAMES = {
+    "SpanBuilder", "SubspaceBasis", "span_closure", "_cut_spans", "merged_levels", "level_sets",
+}
+
+
+def seeded_pairs(alg, count):
+    """Seeded pairs of every generated kind; every third one is a pair of
+    random-degree tables, usually non-homogeneous."""
+    pairs = []
+    for i in range(count):
+        if i % 3 == 2:
+            rng = random.Random(i)
+            pairs.append((gen_random_table(alg, rng), gen_random_table(alg, rng)))
+        else:
+            pairs.append(gen_pair(make_config(i, alg), kind=PAIR_KINDS[i % 4]))
+    return pairs
+
+
+def ladder_mismatches(oracle, pairs):
+    return sum(
+        first_difference(bracket_product(A, B), oracle(A, B)) is not None for A, B in pairs
+    )
+
+
+def fixpoint_mismatches(oracle, pairs):
+    return sum(
+        first_difference(fixpoint_bracket_product(A, B), oracle(A, B)) is not None
+        for A, B in pairs
+    )
+
+
+@pytest.fixture(scope="module")
+def cross_check_pairs(H, L3):
+    return seeded_pairs(H, 60) + seeded_pairs(L3, 15)
+
+
+@pytest.fixture(scope="module")
+def fixpoint_pairs(H, L3):
+    # the fixpoint costs about 10 ms a pair on H and 90 ms on L3
+    return seeded_pairs(H, 12) + seeded_pairs(L3, 4)
+
+
+def test_oracle_matches_ladder_on_seeded_pairs(cross_check_pairs):
+    assert ladder_mismatches(bracket_product_oracle, cross_check_pairs) == 0
+
+
+def test_fixpoint_agrees_with_oracle_and_ladder(fixpoint_pairs):
+    assert fixpoint_mismatches(bracket_product_oracle, fixpoint_pairs) == 0
+    assert fixpoint_mismatches(bracket_product, fixpoint_pairs) == 0
+
+
+def _mutant(old: str, new: str):
+    """``bracket_product_oracle`` with one piece of its source replaced."""
+    source = inspect.getsource(bracket_module.bracket_product_oracle)
+    assert source.count(old) == 1
+    namespace = dict(vars(bracket_module))
+    exec(source.replace(old, new), namespace)
+    return namespace["bracket_product_oracle"]
+
+
+MUTANTS = {
+    # each bracket keeps its own seed: no coset is ever added
+    "seeds-only": (
+        "coset = [vec_add(p, x, vec_scale(p, k, g)) for k in range(1, p) for x in closed]",
+        "coset = [g]",
+    ),
+    # a pair counts with the better of its two values, not the worse
+    "max-seeds": ("map(min, ra, rb)", "map(max, ra, rb)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_broken_oracles_are_caught(cross_check_pairs, fixpoint_pairs, name):
+    broken = _mutant(*MUTANTS[name])
+    assert ladder_mismatches(broken, cross_check_pairs) > 0
+    assert fixpoint_mismatches(broken, fixpoint_pairs) > 0
+
+
+def _names(code) -> set[str]:
+    """Global and attribute names a code object uses, nested code included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _names(const)
+    return names
+
+
+def test_oracle_uses_no_span_machinery():
+    code = bracket_product_oracle.__code__
+    assert not SPAN_NAMES & set(code.co_names)
+    assert not SPAN_NAMES & _names(code)
+    assert {"bracket_eval", "vec_add"} <= _names(code)
+
+
+def test_oracle_matches_ladder_on_l5(L5):
+    rng = random.Random(5)
+    pairs = [gen_pair(make_config(seed, L5), kind="subspace") for seed in range(4)]
+    pairs += [(gen_random_table(L5, rng), gen_random_table(L5, rng)) for _ in range(2)]
+    # a degree for nearly every vector: about 230 classes a side
+    pairs.append(tuple(gen_random_table(L5, rng, palette=L5.size) for _ in range(2)))
+    products = []
+    for A, B in pairs:
+        K = bracket_product_oracle(A, B)
+        assert first_difference(bracket_product(A, B), K) is None
+        products.append(K)
+    # subspace seeds 0 and 2 give trivial brackets, so check some are not
+    assert not all(is_trivial(K) for K in products[:4])
+    assert not any(is_trivial(K) for K in products[4:])
+
+
+def test_oracle_matches_ladder_on_l4(L4):
+    rng = random.Random(4)
+    pairs = [
+        gen_pair(make_config(0, L4), kind="subspace"),
+        (gen_random_table(L4, rng), gen_random_table(L4, rng)),
+    ]
+    for A, B in pairs:
+        K = bracket_product_oracle(A, B)
+        assert not is_trivial(K)
+        assert first_difference(bracket_product(A, B), K) is None
