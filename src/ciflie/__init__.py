@@ -23,7 +23,6 @@ from .superalgebra import (
     SubspaceBasis,
     Superalgebra,
     Vector,
-    abelian_superalgebra,
     apply_map,
     bracket_eval,
     graded_split,

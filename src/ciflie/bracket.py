@@ -22,8 +22,8 @@ side's basis makes at most dim^2 bracket evaluations per component.  On
 homogeneous pairs the degree values form a chain and the componentwise
 reading is the joint amplitude-phase ladder; otherwise the result
 carries a note.  Whether the meets (joins) of the values form a chain is
-decided from the sorted distinct values of each side, without forming
-the k_A * k_B meets.
+decided from each side's distinct values capped by the other side's top
+(bottom), without forming the k_A * k_B meets.
 
 The oracle reads each component through its level subgroups (Das's
 level subgroups of a fuzzy group; Zadeh's resolution identity): each
@@ -31,8 +31,8 @@ crisp bracket g is seeded with its best single-term value, and the
 seeds, swept best first, grow the additive closure one coset at a time,
 so each vector is reached once.  It uses vector addition only, no spans
 or echelon forms, and agreement between the two is the module's keystone
-correctness property.  It enumerates all |V|^2 argument pairs, so it
-refuses carriers above ORACLE_CARRIER_CAP = 625 vectors (F_5^4).
+correctness property.  It enumerates all |V|^2 argument pairs and takes
+every carrier the package accepts (MAX_CARRIER = 3125 vectors).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from operator import attrgetter
 
 from .cifset import (
     COMPONENTS,
-    INF,
     CIFSet,
     _same_space,
     cif_sum,
@@ -51,9 +50,8 @@ from .cifset import (
     from_columns,
     is_z2_graded,
     merged_levels,
-    phase_bounds,
 )
-from .degrees import CIFDegree, Degree, deg_join, deg_leq, deg_meet
+from .degrees import Degree, deg_join, deg_meet
 from .superalgebra import (
     SpanBuilder,
     SubspaceBasis,
@@ -63,8 +61,6 @@ from .superalgebra import (
     vec_add,
     vec_scale,
 )
-
-ORACLE_CARRIER_CAP = 625
 
 
 @dataclass(frozen=True)
@@ -112,65 +108,49 @@ def _cut_spans(alg, steps):
             yield t, out
 
 
-def _combined_values_form_chain(A: CIFSet, B: CIFSet, side: str) -> bool:
+def _achievable(A: CIFSet, B: CIFSet, side: str) -> tuple[bool, list[dict[Degree, Degree]]]:
     """Whether the meets (membership) or joins (non-membership) of A's
-    and B's values form a chain, decided without forming them.
+    and B's values form a chain, and per side each value's cap; when
+    they do, the caps are the achievable values.  No k_A * k_B meets are
+    formed.
 
-    Joins are meets of the negated values.  The meets fail to be a chain
-    exactly when, for some amplitude t among the inputs', a meet with
-    amplitude below t has a larger phase than one with amplitude t or
-    more.  A meet reaches t iff both arguments do, so the least phase
-    there is the smaller of the two sides' least phases at or above t;
-    a meet falls below t iff one argument does, so the largest phase
-    there pairs one side's largest phase below t with the other side's
-    largest phase overall.
+    Let top_B be the componentwise max of B's values and cap(u) =
+    meet(u, top_B) for A's values (cap(v) = meet(v, top_A) for B's).
+    The meets form a chain exactly when the caps do, and then the two
+    sets are equal.  meet(u, v) = meet(cap(u), cap(v)), so a chain of
+    caps holds every meet.  Conversely cap(u) = join(meet(u, b1),
+    meet(u, b2)) for values b1, b2 of B that reach top_B's amplitude and
+    phase; when the meets form a chain those two are comparable, so
+    cap(u) is one of them.  Joins are dual: componentwise min, with join
+    and meet swapped.  Sorted by (r, w), the caps form a chain when w
+    never decreases.
     """
-    sign = 1 if side == "mem" else -1
     vectors = space_vectors(A.space)
-    left = list({(sign * d.r, sign * d.w) for d in (getattr(A.table[x], side) for x in vectors)})
-    right = list({(sign * d.r, sign * d.w) for d in (getattr(B.table[x], side) for x in vectors)})
-    amps = sorted({r for r, _ in left} | {r for r, _ in right})
-    top_left = max(w for _, w in left)
-    top_right = max(w for _, w in right)
-    for (below_l, above_l), (below_r, above_r) in zip(
-        phase_bounds(left, amps), phase_bounds(right, amps)
-    ):
-        if above_l == INF or above_r == INF:
-            continue  # no meet reaches t
-        if max(min(below_l, top_right), min(top_left, below_r)) > min(above_l, above_r):
-            return False
-    return True
+    values = [{getattr(S.table[x], side) for x in vectors} for S in (A, B)]
+    best, combine = (max, deg_meet) if side == "mem" else (min, deg_join)
+    tops = [Degree(best(d.r for d in vs), best(d.w for d in vs)) for vs in values]
+    caps = [{d: combine(d, top) for d in vs} for vs, top in zip(values, tops[::-1])]
+    ordered = sorted({c for cap in caps for c in cap.values()}, key=attrgetter("r", "w"))
+    return all(u.w <= v.w for u, v in zip(ordered, ordered[1:])), caps
 
 
 def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
-    """Joint amplitude-phase ladder; the achievable values must be a chain."""
+    """Joint amplitude-phase ladder; the achievable values must be a
+    chain.  A vector enters the cut of its value's cap, the largest
+    achievable value below it (dually the smallest above it)."""
     alg = _same_space(A, B)
-    if not _combined_values_form_chain(A, B, side):
+    chain, caps = _achievable(A, B, side)
+    if not chain:
         word = "membership" if side == "mem" else "non-membership"
         raise ValueError(f"achievable {word} degrees do not form a chain")
-    mem = side == "mem"
-    # every pair of distinct values is taken by some (a, b)
-    combine = deg_meet if mem else deg_join
-    left, right = ({getattr(S.table[x], side) for x in space_vectors(alg)} for S in (A, B))
-    achievable = {combine(u, v) for u in left for v in right}
-    order = sorted(achievable, key=lambda d: (d.r, d.w), reverse=mem)
-
-    def entries(S: CIFSet) -> dict:
-        # a vector joins the first cut whose threshold its degree clears
-        first: dict[Degree, Degree | None] = {}
-        out: dict[Degree, list[Vector]] = {}
-        for x in space_vectors(S.space):
-            d = getattr(S.table[x], side)
-            if d not in first:
-                first[d] = next(
-                    (t for t in order if (deg_leq(t, d) if mem else deg_leq(d, t))), None
-                )
-            if first[d] is not None:
-                out.setdefault(first[d], []).append(x)
-        return out
-
-    entries_a, entries_b = entries(A), entries(B)
-    steps = ((t, entries_a.get(t, ()), entries_b.get(t, ())) for t in order)
+    order = sorted(
+        {t for cap in caps for t in cap.values()}, key=attrgetter("r", "w"), reverse=side == "mem"
+    )
+    entries: list[dict[Degree, list[Vector]]] = [{}, {}]
+    for S, cap, out in zip((A, B), caps, entries):
+        for x in space_vectors(alg):
+            out.setdefault(cap[getattr(S.table[x], side)], []).append(x)
+    steps = ((t, entries[0].get(t, ()), entries[1].get(t, ())) for t in order)
     cuts = [span.to_basis() for _, span in _cut_spans(alg, steps)]
     return LevelCutLadder(side, tuple(order), tuple(cuts))
 
@@ -217,10 +197,7 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
         for side, attr, descending, default in COMPONENTS
     ]
     notes = ()
-    if not (
-        _combined_values_form_chain(A, B, "mem")
-        and _combined_values_form_chain(A, B, "non")
-    ):
+    if not (_achievable(A, B, "mem")[0] and _achievable(A, B, "non")[0]):
         notes = (
             "bracket of a non-homogeneous pair: amplitude and phase "
             "ladders computed independently",
@@ -239,8 +216,6 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     per pair of argument degrees, the seeds updated once per distinct g.
     """
     alg = _same_space(A, B)
-    if alg.size > ORACLE_CARRIER_CAP:
-        raise ValueError(f"carrier too large for the oracle: {alg.size} > {ORACLE_CARRIER_CAP}")
     p = alg.field.p
     vectors = space_vectors(alg)
     getters = [attrgetter(f"{side}.{attr}") for side, attr, _, _ in COMPONENTS]
@@ -255,9 +230,10 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
             key = tuple(rank[get(S.table[x])] for rank, get in zip(ranks, getters))
             group.setdefault(key, []).append(item)
 
-    # [a, b] is kept as an unreduced code, 10 bits a coordinate (each a
-    # sum of at most dim terms below p^2, so under 1024), and reduced
-    # mod p once per distinct code after the enumeration.
+    # [a, b] is kept as an unreduced code, 10 bits a coordinate, and
+    # reduced mod p once per distinct code after the enumeration.  A
+    # coordinate sums dim terms of at most (p-1)^2; check_carrier bounds
+    # dim * (p-1)^2 by 432 (F_13^3), so it stays under 1024.
     seeds: list[dict[int, int]] = [{} for _ in COMPONENTS]
     for ra, xs in classes[0].items():
         found = {rb: set() for rb in classes[1]}

@@ -36,7 +36,7 @@ from .degrees import rat_str
 from .jsonio import cifset_rows, emit_json, input_digest, report_payload
 from .specfile import SpecError, Workspace, parse_spec
 from .superalgebra import validate_map, validate_superalgebra
-from .theorems import ANTI_IDEAL_STUB, CATALOG, check_theorem, negative_controls
+from .theorems import CATALOG, check_theorem, negative_controls
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -261,7 +261,7 @@ def _cmd_compute(args) -> int:
             diff = first_difference(result, bracket_product_oracle(A, B))
             if diff is not None:
                 print(
-                    f"oracle mismatch at vector {diff}: ladder and fixpoint disagree",
+                    f"oracle mismatch at vector {diff}: ladder and coset oracle disagree",
                     file=sys.stderr,
                 )
                 return EXIT_CHECK
@@ -303,7 +303,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     ws, data, _ = _load_valid(args.file)
     theorem = args.theorem
-    known = set(CATALOG) | {"neg-controls", ANTI_IDEAL_STUB}
+    known = set(CATALOG) | {"neg-controls"}
     if theorem not in known:
         raise UsageError(
             f"unknown theorem id '{theorem}'; known: {', '.join(sorted(known))}"

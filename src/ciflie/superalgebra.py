@@ -112,10 +112,6 @@ def space_vectors(alg: Superalgebra) -> tuple[Vector, ...]:
     return tuple(itertools.product(range(alg.field.p), repeat=alg.dim))
 
 
-def abelian_superalgebra(field: PrimeField, parity: Sequence[int]) -> Superalgebra:
-    return superalgebra_from_pairs(field, parity, {})
-
-
 def superalgebra_from_pairs(
     field: PrimeField,
     parity: Sequence[int],

@@ -320,27 +320,14 @@ CATALOG: dict[str, tuple[str, Runner]] = {
         "bracket of preimages is bilinear in the pulled-back arguments",
         partial(_run_bilinear, "preimage"),
     ),
-    "oracle": ("ladder and fixpoint oracle agree", _run_oracle_agreement),
+    "oracle": ("ladder and coset oracle agree", _run_oracle_agreement),
 }
 
 THEOREM_IDS = tuple(k for k in CATALOG if k != "oracle")
 
-# The source material labels some conclusions with a predicate it never
-# defines; only the self-contained containment/equality claims are
-# checkable.  The id stays callable so reports are explicit about it.
-ANTI_IDEAL_STUB = "anti-ideal"
-
 
 def check_theorem(theorem_id: str, cfg: GenConfig, trials: int) -> TheoremReport:
     """Run ``trials`` seeded instances of one catalog law."""
-    if theorem_id == ANTI_IDEAL_STUB:
-        return TheoremReport(
-            theorem_id,
-            0,
-            (),
-            note="anti-ideal predicate unspecified in the source material; "
-            "the related containment claims run as thrm-4 and preimg-bracket",
-        )
     if theorem_id not in CATALOG:
         raise KeyError(f"unknown theorem id: {theorem_id}")
     _, runner = CATALOG[theorem_id]

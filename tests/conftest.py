@@ -1,6 +1,6 @@
 import pytest
 
-from ciflie import PrimeField, abelian_superalgebra, space_vectors, superalgebra_from_pairs
+from ciflie import PrimeField, space_vectors, superalgebra_from_pairs
 from helpers import rebind_everywhere
 
 
@@ -29,7 +29,7 @@ def L3(F3):
 @pytest.fixture(scope="session")
 def AB2(F3):
     """Abelian algebra on one even and one odd coordinate."""
-    return abelian_superalgebra(F3, (0, 1))
+    return superalgebra_from_pairs(F3, (0, 1), {})
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Random workspace and document generators shared by parser tests,
-and a rebinding helper for tests that swap out a ciflie function."""
+unpinned chain-valued tables for the bracket's chain tests, and a
+rebinding helper for tests that swap out a ciflie function."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import string
 import sys
 from fractions import Fraction
 
-from ciflie import PrimeField, make_cifset, space_vectors, superalgebra_from_pairs
+from ciflie import CIFSet, PrimeField, make_cifset, space_vectors, superalgebra_from_pairs
 from ciflie.degrees import CIFDegree, Degree
 from ciflie.specfile import Workspace, WorkspaceMap, WorkspaceSet
 from ciflie.superalgebra import GradedMap
@@ -23,6 +24,24 @@ def random_degree(rng: random.Random) -> CIFDegree:
         Degree(Fraction(mr, _GRID), Fraction(rng.randint(0, _GRID), _GRID)),
         Degree(Fraction(nr, _GRID), Fraction(rng.randint(0, _GRID), _GRID)),
     )
+
+
+def chain_table(alg, rng: random.Random) -> CIFSet:
+    """An unpinned table of three degrees whose membership values lie on
+    one chain and whose non-membership values on another, drawn afresh
+    per table.  The zero vector draws like the others, so a table's top
+    (membership) and bottom (non-membership) are usually not the pin's."""
+    amps = sorted(rng.sample(range(_GRID + 1), 3))
+    mem_w = sorted(rng.randint(0, _GRID) for _ in range(3))
+    non_w = sorted((rng.randint(0, _GRID) for _ in range(3)), reverse=True)
+    degrees = [
+        CIFDegree(
+            Degree(Fraction(r, _GRID), Fraction(mw, _GRID)),
+            Degree(Fraction(_GRID - r, _GRID), Fraction(nw, _GRID)),
+        )
+        for r, mw, nw in zip(amps, mem_w, non_w)
+    ]
+    return CIFSet(alg, {x: rng.choice(degrees) for x in space_vectors(alg)})
 
 
 def gen_workspace(rng: random.Random) -> Workspace:

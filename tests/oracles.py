@@ -68,7 +68,7 @@ def _degree_pairs(A: CIFSet, B: CIFSet):
     return mem_groups, non_groups
 
 
-def _is_chain(values) -> bool:
+def is_chain(values) -> bool:
     ordered = sorted(values, key=lambda d: (d.r, d.w))
     return all(deg_leq(u, v) for u, v in zip(ordered, ordered[1:]))
 
@@ -96,7 +96,7 @@ def quadratic_level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
     """Joint ladder of one side from all pair values; requires a chain."""
     mem_groups, non_groups = _degree_pairs(A, B)
     groups = mem_groups if side == "mem" else non_groups
-    if not _is_chain(list(groups)):
+    if not is_chain(list(groups)):
         raise ValueError("achievable degrees do not form a chain")
     order = sorted(groups, key=lambda d: (d.r, d.w), reverse=side == "mem")
     _, cuts = _sweep(A.space, groups, order, BOTTOM if side == "mem" else TOP)
@@ -108,7 +108,7 @@ def joint_ladder_bracket(A: CIFSet, B: CIFSet) -> CIFSet:
     pairs; only defined when the achievable values form chains."""
     alg = A.space
     mem_groups, non_groups = _degree_pairs(A, B)
-    if not (_is_chain(list(mem_groups)) and _is_chain(list(non_groups))):
+    if not (is_chain(list(mem_groups)) and is_chain(list(non_groups))):
         raise ValueError("achievable degrees do not form a chain")
     mem_order = sorted(mem_groups, key=lambda d: (d.r, d.w), reverse=True)
     non_order = sorted(non_groups, key=lambda d: (d.r, d.w))
@@ -186,7 +186,7 @@ def quadratic_bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     scalar ladder per component with the non-homogeneous note."""
     alg = A.space
     mem_groups, non_groups = _degree_pairs(A, B)
-    if _is_chain(list(mem_groups)) and _is_chain(list(non_groups)):
+    if is_chain(list(mem_groups)) and is_chain(list(non_groups)):
         return joint_ladder_bracket(A, B)
 
     def component(groups, attr, descending, default):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ciflie import (
@@ -24,6 +26,7 @@ from ciflie import (
     trivial_cifset,
 )
 from ciflie.generators import gen_cif_set, gen_pair, make_config
+from helpers import chain_table
 from oracles import joint_ladder_bracket, quadratic_level_ladder
 
 E, F = (1, 0), (0, 1)
@@ -114,14 +117,6 @@ def test_space_mismatch_rejected(H, L3):
         bracket_product_oracle(trivial_cifset(H), trivial_cifset(L3))
 
 
-def test_oracle_carrier_cap(F3):
-    from ciflie import abelian_superalgebra
-
-    big = abelian_superalgebra(F3, (0, 0, 1, 1, 0, 1))
-    with pytest.raises(ValueError, match="729 > 625"):
-        bracket_product_oracle(trivial_cifset(big), trivial_cifset(big))
-
-
 def test_oracle_symmetric_for_graded_subspaces(H):
     for seed in range(10):
         cfg = make_config(seed, H)
@@ -146,12 +141,32 @@ def test_ladder_structure(H):
         assert deg_leq(lo, hi) and lo != hi
 
 
+LADDERS = (("mem", mem_level_ladder), ("non", non_level_ladder))
+
+
 def test_ladders_match_pairwise_ladders(H, L3):
+    rng = random.Random(1)
+    verdicts = set()
     for alg in (H, L3):
         for seed in range(6):
             A, B = gen_pair(make_config(seed, alg), kind="set")
-            assert mem_level_ladder(A, B) == quadratic_level_ladder(A, B, "mem")
-            assert non_level_ladder(A, B) == quadratic_level_ladder(A, B, "non")
+            for side, ladder in LADDERS:
+                assert ladder(A, B) == quadratic_level_ladder(A, B, side)
+        # unpinned: each value is capped by the other table's top
+        # (bottom), which the pin would make a no-op
+        for _ in range(15):
+            A, B = chain_table(alg, rng), chain_table(alg, rng)
+            for side, ladder in LADDERS:
+                try:
+                    want = quadratic_level_ladder(A, B, side)
+                except ValueError:
+                    verdicts.add(False)
+                    with pytest.raises(ValueError):
+                        ladder(A, B)
+                else:
+                    verdicts.add(True)
+                    assert ladder(A, B) == want
+    assert verdicts == {True, False}
 
 
 def test_ladder_requires_chain(H):

@@ -6,7 +6,6 @@ from ciflie import (
     EMPTY,
     FULL,
     GradedMap,
-    abelian_superalgebra,
     cif_degree,
     cif_sum,
     component_extension,
@@ -25,6 +24,7 @@ from ciflie import (
     scalar_action,
     space_vectors,
     subset_of,
+    superalgebra_from_pairs,
     trivial_cifset,
 )
 from ciflie.generators import make_config, gen_cif_subspace, gen_pair
@@ -224,7 +224,7 @@ def test_cif_sum_contains_arguments(H):
 
 def test_cif_sum_enumerated_example(F3):
     # frozen by enumerating all three decompositions of each point of F_3
-    line = abelian_superalgebra(F3, (0,))
+    line = superalgebra_from_pairs(F3, (0,), {})
     dA = cif_degree("1/2", "1/2", "1/4", "1/4")
     dB = cif_degree("1/3", "1/3", "1/2", "1/2")
     A = make_cifset(line, [((1,), dA)], EMPTY)

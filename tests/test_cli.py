@@ -260,6 +260,16 @@ def test_compute_sum_and_intersection_and_preimage(spec_file, capsys):
     capsys.readouterr()
 
 
+def test_verify_anti_ideal_is_an_unknown_id(spec_file, capsys):
+    # the predicate is undefined, so no run under that id could check it
+    for fmt in ("text", "json"):
+        argv = ["verify", "anti-ideal", spec_file, "--trials", "5", "--format", fmt]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unknown theorem id 'anti-ideal'")
+
+
 def test_verify_neg_controls(spec_file, capsys):
     assert (
         run_cli(["verify", "neg-controls", spec_file, "--trials", "60", "--seed", "2"])
@@ -327,15 +337,14 @@ cifset B on X default 0/1 0/1 1/1 1/1
 """
 
 
-def test_oracle_refusal_on_a_loaded_file_is_a_usage_error(tmp_path, capsys):
+def test_compute_bracket_with_oracle_on_a_dim6_file(tmp_path, capsys):
     path = tmp_path / "dim6.spec"
     path.write_text(DIM6_DOC, encoding="utf-8")
     argv = ["compute", "bracket", str(path), "--left", "A", "--right", "B"]
-    assert run_cli(argv + ["--oracle"]) == 1
+    assert run_cli(argv + ["--oracle", "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "usage error: carrier too large for the oracle: 729 > 625\n"
-    assert run_cli(argv) == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["oracle_checked"] is True
 
 
 def test_compute_bracket_with_oracle_on_l5(tmp_path, capsys):

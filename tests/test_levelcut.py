@@ -23,6 +23,8 @@ from ciflie import (
     check_theorem,
     cif_degree,
     cif_sum,
+    deg_join,
+    deg_meet,
     first_difference,
     is_cif_ideal,
     is_cif_subspace,
@@ -34,8 +36,10 @@ from ciflie import (
     validate_superalgebra,
 )
 from ciflie.generators import gen_pair, gen_random_table, make_config
+from helpers import chain_table
 from oracles import (
     fixpoint_bracket_product,
+    is_chain,
     quadratic_bracket_product,
     quadratic_cif_sum,
     quadratic_is_cif_ideal,
@@ -159,7 +163,7 @@ def distinct_chain_table(alg, rng, broken):
 
 
 def test_notes_match_pairwise_chain_test_on_distinct_values(H, L3):
-    """The note's chain test works on sorted distinct values; with a
+    """The note's chain test works on capped distinct values; with a
     fresh degree per vector it must still match the test over all
     pairs, with both verdicts seen."""
     notes = set()
@@ -173,6 +177,35 @@ def test_notes_match_pairwise_chain_test_on_distinct_values(H, L3):
                 assert_same_set(got, quadratic_bracket_product(X, Y))
                 notes.add(got.notes)
     assert len(notes) == 2
+
+
+def test_achievable_values_are_the_pairwise_meets(H, L3, L5):
+    """The lemma behind the note and the joint ladder: the helper's
+    verdict is whether the meets (joins) of the distinct values form a
+    chain, and then its capped values are exactly those meets."""
+    rng = random.Random(3)
+    pairs = []
+    for alg in (H, L3):
+        for _ in range(15):
+            pairs.append((chain_table(alg, rng), chain_table(alg, rng)))
+            pairs.append((chain_table(alg, rng), random_table(alg, rng)))
+            pairs.append((random_table(alg, rng), random_table(alg, rng)))
+    # a degree per nonzero vector: 242 values on one chain a side
+    pairs.append(tuple(distinct_chain_table(L5, rng, broken=False) for _ in range(2)))
+    verdicts, capped = set(), 0
+    for A, B in pairs:
+        for side, combine in (("mem", deg_meet), ("non", deg_join)):
+            left, right = ({getattr(S.table[x], side) for x in space_vectors(S.space)} for S in (A, B))
+            combined = {combine(u, v) for u in left for v in right}
+            chain, caps = bracket_module._achievable(A, B, side)
+            values = set(caps[0].values()) | set(caps[1].values())
+            assert chain == is_chain(combined)
+            if chain:
+                assert values == combined
+                capped += values != left | right
+            verdicts.add(chain)
+    assert verdicts == {True, False}
+    assert capped > 0
 
 
 def test_predicate_agreement_sees_both_outcomes(H, L3):
@@ -198,20 +231,6 @@ def test_predicate_agreement_sees_both_outcomes(H, L3):
             assert pair_homogeneous(A, N) == quadratic_pair_homogeneous(A, N)
     assert all(seen == {True, False} for seen in outcomes.values())
     assert {"scalar (membership)", "subspace clause", "bracket clause (membership)"} <= witnesses
-
-
-def test_l5_bracket_matches_pairwise_ladder(L5):
-    # |V| = 243 is beyond the fixpoint's cap, so the quadratic ladder is
-    # the reference here; test_oracle checks L5 against the coset oracle
-    assert validate_superalgebra(L5).ok
-    rng = random.Random(5)
-    pairs = [
-        gen_pair(make_config(5, L5), kind="subspace"),
-        (gen_random_table(L5, rng), gen_random_table(L5, rng)),
-    ]
-    for A, B in pairs:
-        assert_same_set(bracket_product(A, B), quadratic_bracket_product(A, B))
-    assert bracket_product(*pairs[1]).notes
 
 
 def test_bracket_evaluations_bounded_by_four_dim_squared(L5, monkeypatch):

@@ -21,6 +21,8 @@ from ciflie import (
     gen_random_table,
     is_trivial,
     make_config,
+    superalgebra_from_pairs,
+    validate_superalgebra,
 )
 from oracles import fixpoint_bracket_product
 
@@ -120,19 +122,23 @@ def test_oracle_uses_no_span_machinery():
 
 
 def test_oracle_matches_ladder_on_l5(L5):
+    assert validate_superalgebra(L5).ok
     rng = random.Random(5)
-    pairs = [gen_pair(make_config(seed, L5), kind="subspace") for seed in range(4)]
+    pairs = [gen_pair(make_config(seed, L5), kind="subspace") for seed in range(6)]
     pairs += [(gen_random_table(L5, rng), gen_random_table(L5, rng)) for _ in range(2)]
     # a degree for nearly every vector: about 230 classes a side
     pairs.append(tuple(gen_random_table(L5, rng, palette=L5.size) for _ in range(2)))
     products = []
     for A, B in pairs:
         K = bracket_product_oracle(A, B)
-        assert first_difference(bracket_product(A, B), K) is None
+        ladder = bracket_product(A, B)
+        assert first_difference(ladder, K) is None
+        # subspace pairs are homogeneous, random tables are not
+        assert bool(ladder.notes) == (len(products) >= 6)
         products.append(K)
     # subspace seeds 0 and 2 give trivial brackets, so check some are not
-    assert not all(is_trivial(K) for K in products[:4])
-    assert not any(is_trivial(K) for K in products[4:])
+    assert not all(is_trivial(K) for K in products[:6])
+    assert not any(is_trivial(K) for K in products[6:])
 
 
 def test_oracle_matches_ladder_on_l4(L4):
@@ -140,6 +146,25 @@ def test_oracle_matches_ladder_on_l4(L4):
     pairs = [
         gen_pair(make_config(0, L4), kind="subspace"),
         (gen_random_table(L4, rng), gen_random_table(L4, rng)),
+    ]
+    for A, B in pairs:
+        K = bracket_product_oracle(A, B)
+        assert not is_trivial(K)
+        assert first_difference(bracket_product(A, B), K) is None
+
+
+def test_oracle_matches_ladder_on_729_vectors(F3):
+    """F_3^6, the largest carrier over F_3: L5's brackets with one more
+    even coordinate, which brackets with b3 to e."""
+    e = (1, 0, 0, 0, 0, 0)
+    alg = superalgebra_from_pairs(
+        F3, (0, 1, 1, 0, 1, 0), {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0, 0, 0), (3, 5): e}
+    )
+    assert validate_superalgebra(alg).ok
+    rng = random.Random(6)
+    pairs = [
+        gen_pair(make_config(1, alg), kind="subspace"),
+        (gen_random_table(alg, rng), gen_random_table(alg, rng)),
     ]
     for A, B in pairs:
         K = bracket_product_oracle(A, B)

@@ -8,7 +8,6 @@ from ciflie import (
     GradedMap,
     PrimeField,
     Superalgebra,
-    abelian_superalgebra,
     apply_map,
     bracket_eval,
     graded_split,
@@ -30,7 +29,7 @@ def test_prime_field_rejects_nonprime():
 
 def test_abelian_always_valid(F3):
     for parity in itertools.product((0, 1), repeat=3):
-        alg = abelian_superalgebra(F3, parity)
+        alg = superalgebra_from_pairs(F3, parity, {})
         assert validate_superalgebra(alg).ok
 
 
@@ -122,7 +121,7 @@ def test_span_closure_examples(H):
 
 def test_span_closure_idempotent_and_contains_generators(F3):
     rng = random.Random(11)
-    alg = abelian_superalgebra(F3, (0, 1, 0))
+    alg = superalgebra_from_pairs(F3, (0, 1, 0), {})
     for _ in range(50):
         gens = [
             tuple(rng.randrange(3) for _ in range(3))
@@ -218,5 +217,5 @@ def test_carrier_limit_refused_before_enumeration(no_enumeration):
     with pytest.raises(ValueError, match=r"carrier too large: 13\^6 = 4826809"):
         Superalgebra(PrimeField(13), 6, (0,) * 6, (zero,) * 6)
     with pytest.raises(ValueError, match=r"carrier too large: 7\^5 = 16807"):
-        abelian_superalgebra(PrimeField(7), (0, 1, 0, 1, 0))
-    assert abelian_superalgebra(PrimeField(5), (0, 1, 0, 1, 0)).size == MAX_CARRIER
+        superalgebra_from_pairs(PrimeField(7), (0, 1, 0, 1, 0), {})
+    assert superalgebra_from_pairs(PrimeField(5), (0, 1, 0, 1, 0), {}).size == MAX_CARRIER

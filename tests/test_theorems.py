@@ -1,7 +1,7 @@
 import pytest
 
 from ciflie import CATALOG, THEOREM_IDS, check_theorem, make_config, negative_controls
-from ciflie.theorems import ANTI_IDEAL_STUB, NEGATIVE_CONTROLS
+from ciflie.theorems import NEGATIVE_CONTROLS
 
 
 EXPECTED_IDS = {
@@ -65,13 +65,6 @@ def test_reports_are_deterministic(H):
     r1 = check_theorem("lem-1", cfg, 6)
     r2 = check_theorem("lem-1", cfg, 6)
     assert r1 == r2
-
-
-def test_anti_ideal_stub(H):
-    report = check_theorem(ANTI_IDEAL_STUB, make_config(0, H), 5)
-    assert report.passed
-    assert report.trials == 0
-    assert "unspecified" in report.note
 
 
 def test_negative_controls_all_falsified_on_h(H):
