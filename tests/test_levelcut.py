@@ -233,6 +233,20 @@ def test_predicate_agreement_sees_both_outcomes(H, L3):
     assert {"scalar (membership)", "subspace clause", "bracket clause (membership)"} <= witnesses
 
 
+def test_l5_bracket_matches_pairwise_ladder(L5):
+    # |V| = 243 is beyond the fixpoint's cap, so the quadratic ladder is
+    # the reference here; test_oracle checks L5 against the coset oracle
+    assert validate_superalgebra(L5).ok
+    rng = random.Random(5)
+    pairs = [
+        gen_pair(make_config(5, L5), kind="subspace"),
+        (gen_random_table(L5, rng), gen_random_table(L5, rng)),
+    ]
+    for A, B in pairs:
+        assert_same_set(bracket_product(A, B), quadratic_bracket_product(A, B))
+    assert bracket_product(*pairs[1]).notes
+
+
 def test_bracket_evaluations_bounded_by_four_dim_squared(L5, monkeypatch):
     calls = []
 
