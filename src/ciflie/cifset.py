@@ -209,10 +209,16 @@ COMPONENTS = (
 
 def level_sets(A: CIFSet, side: str, attr: str) -> dict[Fraction, list[Vector]]:
     """Each value of one component, with the vectors taking it in
-    carrier order."""
+    carrier order.  The value is read once per distinct degree."""
+    get = attrgetter(f"{side}.{attr}")
     groups: dict[Fraction, list[Vector]] = {}
+    group_of: dict[CIFDegree, list[Vector]] = {}
     for x in space_vectors(A.space):
-        groups.setdefault(getattr(getattr(A.table[x], side), attr), []).append(x)
+        d = A.table[x]
+        group = group_of.get(d)
+        if group is None:
+            group = group_of[d] = groups.setdefault(get(d), [])
+        group.append(x)
     return groups
 
 
@@ -379,11 +385,28 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
 
 def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...]) -> CIFSet:
     """The CIF set whose four components (mem r, mem w, non r, non w)
-    are the given columns, each listed in carrier order."""
-    table = {
-        x: CIFDegree(Degree(mr, mw), Degree(nr, nw))
-        for x, mr, mw, nr, nw in zip(space_vectors(alg), *columns)
-    }
+    are the given columns, each listed in carrier order.  One CIFDegree
+    is built per distinct row and shared by the vectors that take it.
+
+    The sum, the bracket product and the image keep the budget mem.r +
+    non.r <= 1, so the CIFDegree check never fires on their results.
+    Each reads x's components off its decompositions: x = a + b for the
+    sum, x a sum of brackets [a_i, b_i] for the bracket, a point of the
+    fiber over x for the image.  Take a decomposition D that attains
+    mem.r(x), so every input degree in D has mem.r >= mem.r(x).  The
+    non-membership reading is an inf over decompositions of the max over
+    their terms, so non.r(x) <= non.r(u) for some input degree u in D.
+    Then mem.r(x) + non.r(x) <= mem.r(u) + non.r(u) <= 1.  A vector with
+    no decomposition (outside every bracket cut, off the image) has
+    mem.r = 0.
+    """
+    shared: dict[tuple, CIFDegree] = {}
+    table = {}
+    for x, row in zip(space_vectors(alg), zip(*columns)):
+        d = shared.get(row)
+        if d is None:
+            d = shared[row] = CIFDegree(Degree(row[0], row[1]), Degree(row[2], row[3]))
+        table[x] = d
     return CIFSet(alg, table, notes)
 
 

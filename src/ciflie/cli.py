@@ -1,7 +1,8 @@
 """Command-line surface: validate, check, compute, verify.
 
 Exit codes: 0 success/pass, 1 usage error (bad arguments, including an
-operation the loaded sets do not admit), 2 load/validation error,
+operation the loaded sets do not admit and an --out path that cannot be
+written), 2 load/validation error,
 3 property/check failure.  Results go to stdout (or --out), diagnostics
 to stderr.  Set COLOR=0 to disable ANSI in text reports.
 """
@@ -148,7 +149,10 @@ def _load_valid(path: str, judged: str | None = None) -> tuple[Workspace, bytes,
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write '{out}': {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -7,6 +7,12 @@ infs of finite families are componentwise maxima/minima.
 
 Everything is a Fraction.  Floats would turn the downstream theorem
 checks into tolerance games, so they are rejected at construction.
+
+Every degree is validated when it is built, and its hash is computed
+then, once: the kernels key dicts and sets by degrees once per vector.
+Where results are built, equal values share one object: the parser and
+``from_columns`` build one degree per distinct value, and a meet or join
+whose argument dominates the other returns that argument.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ class Degree:
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _unit_interval(self.r, "amplitude"))
         object.__setattr__(self, "w", _unit_interval(self.w, "phase"))
+        object.__setattr__(self, "_hash", hash((self.r, self.w)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Degree({self.r}, {self.w})"
@@ -57,10 +67,20 @@ def deg_leq(a: Degree, b: Degree) -> bool:
 
 
 def deg_meet(a: Degree, b: Degree) -> Degree:
+    """Componentwise min; the smaller argument itself when there is one."""
+    if a.r <= b.r and a.w <= b.w:
+        return a
+    if b.r <= a.r and b.w <= a.w:
+        return b
     return Degree(min(a.r, b.r), min(a.w, b.w))
 
 
 def deg_join(a: Degree, b: Degree) -> Degree:
+    """Componentwise max; the larger argument itself when there is one."""
+    if b.r <= a.r and b.w <= a.w:
+        return a
+    if a.r <= b.r and a.w <= b.w:
+        return b
     return Degree(max(a.r, b.r), max(a.w, b.w))
 
 
@@ -81,6 +101,10 @@ class CIFDegree:
                 "amplitude budget exceeded: "
                 f"{self.mem.r} + {self.non.r} > 1"
             )
+        object.__setattr__(self, "_hash", hash((self.mem, self.non)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CIFDegree(({self.mem.r},{self.mem.w}); ({self.non.r},{self.non.w}))"

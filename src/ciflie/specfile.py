@@ -16,6 +16,10 @@ be written.  Semantic checks (degree budgets, the zero pin, reference
 and shape errors) run at load and carry line numbers.  Algebra axioms
 and map conditions are not load errors; they are what ``validate``
 reports.
+
+Degree tokens are coerced and validated once per distinct tuple of
+four: the loader keeps each tuple's CIFDegree, and later lines that
+repeat the tuple share it.  A bad tuple fails at its first line.
 """
 
 from __future__ import annotations
@@ -115,6 +119,14 @@ class _Loader:
         self.set_decls: dict[str, tuple[str, CIFDegree]] = {}
         self.entries: dict[str, dict[Vector, CIFDegree]] = {}
         self.map_decls: dict[str, tuple[str, str, str, tuple[Vector, ...]]] = {}
+        self.degrees: dict[tuple[str, ...], CIFDegree] = {}
+
+    def _degree(self, tokens: list[str], line: int) -> CIFDegree:
+        key = tuple(tokens)
+        degree = self.degrees.get(key)
+        if degree is None:
+            degree = self.degrees[key] = _parse_degree4(tokens, line)
+        return degree
 
     def _need_field(self, line: int) -> PrimeField:
         if self.field is None:
@@ -191,7 +203,7 @@ class _Loader:
         space = args[2]
         if space not in self.space_decls:
             raise SpecError(line, f"unknown space '{space}'")
-        default = _parse_degree4(args[4:], line)
+        default = self._degree(args[4:], line)
         self.set_decls[name] = (space, default)
         self.entries[name] = {}
 
@@ -209,7 +221,7 @@ class _Loader:
         coords = tuple(
             _parse_int(c, line, "coordinate") % field.p for c in args[1 : 1 + dim]
         )
-        degree = _parse_degree4(args[2 + dim :], line)
+        degree = self._degree(args[2 + dim :], line)
         if coords in self.entries[name]:
             raise SpecError(line, f"duplicate entry for vector {coords}")
         if coords == (0,) * dim and degree != FULL:

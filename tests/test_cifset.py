@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ciflie import (
+    CIFSet,
     EMPTY,
     FULL,
     GradedMap,
@@ -10,6 +12,7 @@ from ciflie import (
     cif_sum,
     component_extension,
     first_difference,
+    gen_random_table,
     image,
     intersection,
     is_cif_ideal,
@@ -27,6 +30,7 @@ from ciflie import (
     superalgebra_from_pairs,
     trivial_cifset,
 )
+from ciflie.bracket import bracket_product
 from ciflie.generators import make_config, gen_cif_subspace, gen_pair
 
 E, F = (1, 0), (0, 1)
@@ -330,3 +334,18 @@ def test_first_difference(H):
     B = trivial_cifset(H)
     assert first_difference(A, A) is None
     assert first_difference(A, B) == (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), on_l3=st.booleans(), pinned=st.booleans())
+def test_sum_bracket_and_image_keep_the_amplitude_budget(H, L3, seed, on_l3, pinned):
+    # from_columns builds the result degrees through the budget check;
+    # its docstring proves the check never fires on these results
+    alg = L3 if on_l3 else H
+    rng = random.Random(seed)
+    A, B = (gen_random_table(alg, rng, palette=rng.randint(1, 24)) for _ in range(2))
+    if not pinned:
+        A = CIFSet(alg, {**A.table, alg.zero(): A.table[rng.choice(space_vectors(alg))]})
+    rows = tuple(tuple(rng.randrange(3) for _ in range(alg.dim)) for _ in range(alg.dim))
+    for result in (cif_sum(A, B), bracket_product(A, B), image(GradedMap(alg, alg, rows), A)):
+        assert all(d.mem.r + d.non.r <= 1 for d in result.table.values())

@@ -409,3 +409,21 @@ def test_carrier_limit_is_a_load_error(tmp_path, capsys):
     path.write_text("field 13\nspace X dim 6 parity 0 0 0 0 0 0\n", encoding="utf-8")
     assert run_cli(["validate", str(path)]) == 2
     assert "load error: line 2: carrier too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "sum", "--left", "A", "--right", "A"],
+        ["compute", "bracket", "--left", "A", "--right", "B", "--format", "json"],
+        ["verify", "lem-5", "--trials", "1"],
+        ["verify", "lem-5", "--trials", "1", "--format", "json"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(spec_file, tmp_path, capsys, argv):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run_cli(argv[:2] + [spec_file] + argv[2:] + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: cannot write '{out}': ")
+        assert "Traceback" not in captured.err

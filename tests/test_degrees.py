@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ciflie import (
     deg_join,
     deg_leq,
     deg_meet,
+    parse_spec,
 )
 
 units = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -111,3 +113,44 @@ def test_budget_property(mr, mw, nr, nw):
     else:
         with pytest.raises(ValueError):
             CIFDegree(Degree(mr, mw), Degree(nr, nw))
+
+
+def test_equal_degrees_built_differently_share_hash_and_key():
+    parsed = parse_spec(
+        "field 3\nspace X dim 1 parity 0\n"
+        "cifset A on X default 0/1 0/1 1/1 1/1\nentry A 1 deg 2/4 1/1 0/1 0/1\n"
+    ).sets["A"].cifset.table[(1,)]
+    built = cif_degree("1/2", 1, 0, 0)
+    met = CIFDegree(deg_meet(Degree(1, 1), Degree("1/2", 1)), deg_join(BOTTOM, BOTTOM))
+    for d in (parsed, met):
+        assert d == built and hash(d) == hash(built)
+        assert d.mem == built.mem and hash(d.mem) == hash(built.mem)
+        assert {built: "key", built.mem: "mem"}[d] == "key"
+        assert {built.mem: "mem"}[d.mem] == "mem"
+    assert hash(built.mem) == hash((Fraction(1, 2), Fraction(1)))
+
+
+def test_repr_fields_and_replace_are_unchanged():
+    d = cif_degree("1/2", 1, 0, "1/3")
+    assert repr(d.mem) == "Degree(1/2, 1)"
+    assert repr(d) == "CIFDegree((1/2,1); (0,1/3))"
+    assert [f.name for f in dataclasses.fields(Degree)] == ["r", "w"]
+    assert [f.name for f in dataclasses.fields(CIFDegree)] == ["mem", "non"]
+    moved = dataclasses.replace(d.mem, r=Fraction(1, 4))
+    assert moved == Degree("1/4", 1) and hash(moved) == hash(Degree("1/4", 1))
+    assert hash(moved) != hash(d.mem)
+    wider = dataclasses.replace(d, non=Degree("1/2", 0))
+    assert hash(wider) == hash(cif_degree("1/2", 1, "1/2", 0))
+    with pytest.raises(ValueError):
+        dataclasses.replace(d.mem, w=Fraction(5, 4))
+    with pytest.raises(ValueError):
+        dataclasses.replace(d, non=Degree("3/4", 0))
+
+
+@given(degrees, degrees)
+def test_meet_join_are_componentwise_and_return_a_dominating_argument(a, b):
+    meet, join = deg_meet(a, b), deg_join(a, b)
+    assert meet == Degree(min(a.r, b.r), min(a.w, b.w))
+    assert join == Degree(max(a.r, b.r), max(a.w, b.w))
+    if deg_leq(a, b) or deg_leq(b, a):
+        assert any(meet is d for d in (a, b)) and any(join is d for d in (a, b))

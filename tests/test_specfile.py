@@ -1,10 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ciflie import SpecError, parse_spec, serialize
-from ciflie.degrees import FULL
+from ciflie import (
+    EMPTY,
+    SpecError,
+    cif_degree,
+    gen_random_table,
+    make_cifset,
+    parse_spec,
+    serialize,
+    space_vectors,
+)
+from ciflie.degrees import FULL, Degree
+from ciflie.specfile import Workspace, WorkspaceSet
 from helpers import gen_fuzz_document, gen_workspace
 
 MINIMAL = "field 3\nspace A1 dim 1 parity 0\n"
@@ -155,3 +166,74 @@ def test_largest_supported_carriers_load():
         assert parse_spec(doc).algebras["X"].size <= 3125
     with pytest.raises(SpecError, match="dim must be in 1..6, got 7"):
         parse_spec("field 2\nspace X dim 7 parity 0 0 0 0 0 0 0\n")
+
+
+def _l5_workspaces(L5):
+    """L5 workspaces: one set with a degree per nonzero vector, one with
+    a 24-degree palette, and one holding both."""
+    vectors = [x for x in space_vectors(L5) if x != L5.zero()]
+    n = len(vectors)
+    order = random.Random(4).sample(range(n), n)
+    degrees = [
+        cif_degree(Fraction(i, n), Fraction(n - i, n), Fraction(n - 1 - i, n), Fraction(i, 2 * n))
+        for i in order
+    ]
+    distinct = make_cifset(L5, list(zip(vectors, degrees)), EMPTY)
+    palette = gen_random_table(L5, random.Random(5))
+    sets = {"D": WorkspaceSet("L", EMPTY, distinct), "P": WorkspaceSet("L", EMPTY, palette)}
+    return [
+        Workspace(L5.field, {"L": L5}, {name: sets[name]}, {}) for name in sets
+    ] + [Workspace(L5.field, {"L": L5}, sets, {})]
+
+
+def _degree_tuples(text):
+    return {line.split(" deg ")[1] for line in text.splitlines() if line.startswith("entry")}
+
+
+def test_round_trip_l5_with_distinct_and_repeated_degrees(L5):
+    per_vector, palette, both = _l5_workspaces(L5)
+    assert len(_degree_tuples(serialize(per_vector))) == L5.size - 1
+    assert len(_degree_tuples(serialize(palette))) <= 24
+    for ws in (per_vector, palette, both):
+        parsed = parse_spec(serialize(ws))
+        assert parsed == ws
+        for entry in parsed.sets.values():
+            # equal degrees of a parsed set are one object
+            table = entry.cifset.table
+            assert len({id(d) for d in table.values()}) == len(set(table.values()))
+
+
+def test_each_distinct_degree_tuple_is_validated_once(L5, monkeypatch):
+    built = []
+    original = Degree.__post_init__
+    monkeypatch.setattr(Degree, "__post_init__", lambda d: built.append(d) or original(d))
+    for ws in _l5_workspaces(L5):
+        text = serialize(ws)
+        built.clear()
+        parse_spec(text)
+        assert len(built) <= 2 * (len(_degree_tuples(text)) + len(ws.sets)) + 4
+
+
+REPEATS = """field 3
+space X dim 2 parity 0 1
+cifset A on X default 0/1 0/1 1/1 1/1
+entry A 0 1 deg 1/2 1/2 1/2 1/2
+entry A 0 2 deg 1/2 1/2 1/2 1/2
+entry A 1 0 deg 1/2 1/2 1/2 1/2
+"""
+
+
+@pytest.mark.parametrize(
+    "bad, fragment",
+    [("3/4 0 1/2 0", "budget"), ("0 0 7/4 1", "[0, 1]"), ("0 0 1/0 1", "rational")],
+)
+def test_bad_degree_after_repeats_is_reported_at_its_first_line(bad, fragment):
+    # the bad tuple first appears on line 7, after a tuple seen three times
+    for tail in ([f"entry A 1 1 deg {bad}"], [f"entry A 1 1 deg {bad}", f"entry A 1 2 deg {bad}"]):
+        with pytest.raises(SpecError) as err:
+            parse_spec(REPEATS + "\n".join(tail) + "\n")
+        assert err.value.line == 7
+        assert fragment in err.value.message
+    # a repeat of a good tuple after it still parses
+    ws = parse_spec(REPEATS + "entry A 1 1 deg 1/2 1/2 1/2 1/2\n")
+    assert ws.sets["A"].cifset.table[(1, 1)] == cif_degree("1/2", "1/2", "1/2", "1/2")
