@@ -26,7 +26,6 @@ from .superalgebra import (
     apply_map,
     bracket_eval,
     graded_split,
-    is_surjective,
     space_vectors,
     span_closure,
     superalgebra_from_pairs,

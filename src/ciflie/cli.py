@@ -135,16 +135,16 @@ def _problems(reports: dict) -> list[str]:
     return [f"{label}: {f}" for label, rep in reports.items() for f in rep.failures]
 
 
-def _load_valid(path: str, judged: str | None = None) -> tuple[Workspace, bytes, dict]:
+def _load_valid(path: str, judged: str | None = None) -> tuple[Workspace, bytes]:
     """Load a file whose spaces and maps all validate, save the one
     labelled ``judged`` (say 'map psi'), whose verdict the caller
-    reports; also return the validation reports."""
+    reports."""
     ws, data = _load(path)
     reports = _workspace_reports(ws)
     problems = _problems({k: rep for k, rep in reports.items() if k != judged})
     if problems:
         raise InvalidWorkspace(*problems)
-    return ws, data, reports
+    return ws, data
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -219,7 +219,7 @@ _BINARY_OPS = {
 def _cmd_check(args) -> int:
     pred = args.predicate
     judged = f"map {args.name}" if pred == "anti-hom" else None
-    ws, _, _ = _load_valid(args.file, judged)
+    ws, _ = _load_valid(args.file, judged)
     if pred == "anti-hom":
         # the anti condition is tested whatever kind the map declares
         rep = validate_map(replace(_require_map(ws, args.name), kind="anti"))
@@ -251,7 +251,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    ws, data, _ = _load_valid(args.file)
+    ws, data = _load_valid(args.file)
     op = args.operation
     A = _require_set(ws, args.left)
     oracle_checked = False
@@ -305,7 +305,7 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    ws, data, _ = _load_valid(args.file)
+    ws, data = _load_valid(args.file)
     theorem = args.theorem
     known = set(CATALOG) | {"neg-controls"}
     if theorem not in known:

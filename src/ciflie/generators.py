@@ -155,18 +155,14 @@ def _random_chain(
 def _levelcut_set(
     alg: Superalgebra, chain: list[SubspaceBasis], pool: tuple[CIFDegree, ...]
 ) -> CIFSet:
-    entries = []
-    zero = alg.zero()
-    for x in space_vectors(alg):
-        if x == zero:
-            continue
-        depth = 0
-        for level, basis in enumerate(chain, start=1):
-            if basis.contains(x):
-                depth = level
-        if depth:
-            entries.append((x, pool[depth - 1]))
-    return make_cifset(alg, entries, EMPTY)
+    """Read the degrees off the chain members: each vector takes the pool
+    degree of the deepest member whose ``members()`` list it, else EMPTY."""
+    degree: dict[Vector, CIFDegree] = {}
+    for basis, d in zip(chain, pool):
+        for x in basis.members():
+            degree[x] = d
+    degree.pop(alg.zero(), None)
+    return make_cifset(alg, degree.items(), EMPTY)
 
 
 def gen_cif_subspace(

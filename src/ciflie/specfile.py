@@ -10,12 +10,13 @@ One statement per line, ``#`` starts a comment, rationals are written
     entry NAME v_1 ... v_n deg R W RH WH
     map NAME SPACE -> SPACE kind {plain|anti} rows c ... / c ... / ...
 
-Structure constants are declared on basis pairs i <= j; the remaining
-entries are filled by super skew-symmetry so inconsistent tables cannot
-be written.  Semantic checks (degree budgets, the zero pin, reference
-and shape errors) run at load and carry line numbers.  Algebra axioms
-and map conditions are not load errors; they are what ``validate``
-reports.
+Structure constants are declared on basis pairs i <= j; each i > j
+entry is set by super skew-symmetry from its i < j partner.  The fill
+does not make a table valid: a diagonal entry can still break
+skew-symmetry, and grading and Jacobi are untouched.  Semantic checks
+(degree budgets, the zero pin, reference and shape errors) run at load
+and carry line numbers.  Algebra axioms and map conditions are not load
+errors; they are what ``validate`` reports.
 
 Degree tokens are coerced and validated once per distinct tuple of
 four: the loader keeps each tuple's CIFDegree, and later lines that

@@ -92,7 +92,7 @@ class Superalgebra:
             for cell in row:
                 if len(cell) != self.dim:
                     raise ValueError("structure table must have shape dim x dim x dim")
-                if any(not (0 <= c < self.field.p) for c in cell):
+                if any(not isinstance(c, int) or not 0 <= c < self.field.p for c in cell):
                     raise ValueError("structure constants must be reduced mod p")
 
     def zero(self) -> Vector:
@@ -119,9 +119,9 @@ def superalgebra_from_pairs(
 ) -> Superalgebra:
     """Build an algebra from constants on basis pairs i <= j.
 
-    The i > j entries are filled by super skew-symmetry,
-    [b_j, b_i] = -(-1)^{parity_i * parity_j} [b_i, b_j], which keeps the
-    table consistent by construction.
+    Each i > j entry is set by super skew-symmetry, [b_j, b_i] =
+    -(-1)^{parity_i * parity_j} [b_i, b_j]; nothing else is made valid,
+    and :func:`validate_superalgebra` checks the axioms.
     """
     dim = len(parity)
     p = field.p
@@ -173,51 +173,42 @@ def graded_split(alg: Superalgebra, x: Vector) -> tuple[Vector, Vector]:
 def validate_superalgebra(alg: Superalgebra) -> Report:
     """Check grading compatibility, super skew-symmetry and graded Jacobi.
 
-    One witness is reported per violated axiom; an empty report confirms
-    validity.  Violations are report content, never exceptions.
+    Each [b_i, b_j] is read from ``alg.structure``, so only Jacobi's outer
+    brackets are evaluated.  One witness is reported per violated axiom;
+    an empty report confirms validity.  Violations are report content,
+    never exceptions.
     """
     failures: list[str] = []
     p = alg.field.p
     n = alg.dim
+    table = alg.structure
 
-    for i in range(n):
-        for j in range(n):
-            want = (alg.parity[i] + alg.parity[j]) % 2
-            cell = alg.structure[i][j]
-            bad = [k for k in range(n) if cell[k] and alg.parity[k] != want]
-            if bad:
-                failures.append(
-                    f"grading: [b{i}, b{j}] has a component of wrong parity "
-                    f"at coordinate {bad[0]}"
-                )
-                break
-        else:
-            continue
-        break
+    for i, j in itertools.product(range(n), repeat=2):
+        want = (alg.parity[i] + alg.parity[j]) % 2
+        cell = table[i][j]
+        bad = [k for k in range(n) if cell[k] and alg.parity[k] != want]
+        if bad:
+            failures.append(
+                f"grading: [b{i}, b{j}] has a component of wrong parity "
+                f"at coordinate {bad[0]}"
+            )
+            break
 
-    for i in range(n):
-        done = False
-        for j in range(n):
-            sign = (-1) ** (alg.parity[i] * alg.parity[j])
-            lhs = bracket_eval(alg, alg.basis(i), alg.basis(j))
-            rhs = bracket_eval(alg, alg.basis(j), alg.basis(i))
-            total = tuple((a + sign * b) % p for a, b in zip(lhs, rhs))
-            if total != alg.zero():
-                failures.append(
-                    f"super skew-symmetry: [b{i}, b{j}] + "
-                    f"(-1)^({alg.parity[i]}*{alg.parity[j]}) [b{j}, b{i}] != 0"
-                )
-                done = True
-                break
-        if done:
+    for i, j in itertools.product(range(n), repeat=2):
+        sign = (-1) ** (alg.parity[i] * alg.parity[j])
+        if any((a + sign * b) % p for a, b in zip(table[i][j], table[j][i])):
+            failures.append(
+                f"super skew-symmetry: [b{i}, b{j}] + "
+                f"(-1)^({alg.parity[i]}*{alg.parity[j]}) [b{j}, b{i}] != 0"
+            )
             break
 
     # Jacobi in Leibniz form: ad(b_i) is a superderivation of the bracket.
     for i, j, k in itertools.product(range(n), repeat=3):
         bi, bj, bk = alg.basis(i), alg.basis(j), alg.basis(k)
-        lhs = bracket_eval(alg, bi, bracket_eval(alg, bj, bk))
-        first = bracket_eval(alg, bracket_eval(alg, bi, bj), bk)
-        second = bracket_eval(alg, bj, bracket_eval(alg, bi, bk))
+        lhs = bracket_eval(alg, bi, table[j][k])
+        first = bracket_eval(alg, table[i][j], bk)
+        second = bracket_eval(alg, bj, table[i][k])
         sign = (-1) ** (alg.parity[i] * alg.parity[j])
         rhs = tuple((a + sign * b) % p for a, b in zip(first, second))
         if lhs != rhs:
@@ -371,7 +362,7 @@ class GradedMap:
         for row in self.matrix:
             if len(row) != self.target.dim:
                 raise ValueError("matrix row has wrong length")
-            if any(not (0 <= c < p) for c in row):
+            if any(not isinstance(c, int) or not 0 <= c < p for c in row):
                 raise ValueError("matrix entries must be reduced mod p")
 
 
@@ -390,20 +381,14 @@ def apply_map(m: GradedMap, x: Vector) -> Vector:
     return tuple(out)
 
 
-def is_surjective(m: GradedMap) -> bool:
-    builder = SpanBuilder(m.target.field, m.target.dim)
-    for row in m.matrix:
-        builder.add(row)
-    return builder.rank == m.target.dim
-
-
 def validate_map(m: GradedMap) -> MapReport:
     """Check grading preservation and, for kind 'anti', the anti condition.
 
     The anti condition phi([x, y]) = -[phi(x), phi(y)] is checked on all
-    basis pairs; bilinearity extends it to arbitrary vectors.  Matrix
-    well-formedness is enforced at construction.  Surjectivity is
-    reported as a flag rather than a failure.
+    basis pairs, reading [b_i, b_j] from the source table and phi(b_i)
+    from the matrix rows; bilinearity extends it to arbitrary vectors.
+    Matrix well-formedness is enforced at construction.  Surjectivity,
+    the rank of the rows, is reported as a flag rather than a failure.
     """
     failures: list[str] = []
     for i in range(m.source.dim):
@@ -420,16 +405,13 @@ def validate_map(m: GradedMap) -> MapReport:
             )
     if m.kind == "anti":
         p = m.source.field.p
-        for i in range(m.source.dim):
-            for j in range(m.source.dim):
-                lhs = apply_map(m, bracket_eval(m.source, m.source.basis(i), m.source.basis(j)))
-                rhs = vec_scale(p, -1, bracket_eval(m.target, m.matrix[i], m.matrix[j]))
-                if lhs != rhs:
-                    failures.append(
-                        f"anti condition: phi([b{i}, b{j}]) != -[phi(b{i}), phi(b{j})]"
-                    )
-                    break
-            else:
-                continue
-            break
-    return MapReport(ok=not failures, surjective=is_surjective(m), failures=tuple(failures))
+        for i, j in itertools.product(range(m.source.dim), repeat=2):
+            lhs = apply_map(m, m.source.structure[i][j])
+            rhs = vec_scale(p, -1, bracket_eval(m.target, m.matrix[i], m.matrix[j]))
+            if lhs != rhs:
+                failures.append(
+                    f"anti condition: phi([b{i}, b{j}]) != -[phi(b{i}), phi(b{j})]"
+                )
+                break
+    surjective = span_closure(m.target, m.matrix).rank == m.target.dim
+    return MapReport(ok=not failures, surjective=surjective, failures=tuple(failures))

@@ -49,7 +49,7 @@ from .generators import (
     gen_pair,
     trial_config,
 )
-from .superalgebra import Superalgebra, bracket_eval, space_vectors, span_closure
+from .superalgebra import Superalgebra, bracket_eval, span_closure
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def _run_scalar_commutes(kind, letter, cfg, rng):
 def _run_oracle_agreement(cfg, rng):
     A, B = gen_pair(cfg, rng, kind="subspace")
     witness = _eq_witness(
-        "ladder = fixpoint oracle",
+        "ladder = coset oracle",
         bracket_product(A, B),
         bracket_product_oracle(A, B),
     )
@@ -382,11 +382,7 @@ def _control_ideal_on_nonideal(cfg, rng):
     if basis is None:
         return None
     top = cfg.degree_pool[-1]
-    entries = [
-        (x, top)
-        for x in space_vectors(alg)
-        if x != alg.zero() and basis.contains(x)
-    ]
+    entries = [(x, top) for x in basis.members() if x != alg.zero()]
     bad = make_cifset(alg, entries, EMPTY)
     return not is_cif_ideal(bad).ok
 

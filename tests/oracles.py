@@ -15,6 +15,11 @@ round, checked against both ``bracket_product`` and the coset-closure
 ``fiber`` solves phi(x) = y by elimination, and ``fiber_image`` and
 ``fiber_preimage`` read the image and the preimage of a CIF set off the
 fibers, without the forward pass over the source that ``ciflie`` makes.
+
+``brute_axiom_failures`` and ``brute_map_report`` state the algebra
+axioms and the map conditions on vectors rather than on the basis
+table: every homogeneous pair and triple, every vector pair, and the
+size of the image.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from ciflie import (
     LevelCutLadder,
     Report,
     SpanBuilder,
+    Superalgebra,
     TOP,
     Vector,
     bracket_eval,
@@ -361,3 +367,69 @@ def fiber_preimage(m: GradedMap, B: CIFSet) -> CIFSet:
         for x in fiber(m, y):
             table[x] = B.table[y]
     return CIFSet(m.source, {x: table[x] for x in space_vectors(m.source)})
+
+
+def _homogeneous(alg: Superalgebra) -> list[tuple[Vector, int]]:
+    """Every nonzero homogeneous vector with its parity."""
+    return [
+        (x, parity)
+        for x in space_vectors(alg)
+        for parity in (0, 1)
+        if any(x) and all(c == 0 for c, b in zip(x, alg.parity) if b != parity)
+    ]
+
+
+def brute_axiom_failures(alg: Superalgebra) -> set[str]:
+    """The axioms that fail on some homogeneous vectors: 'grading' ([x, y]
+    has parity a + b), 'super skew-symmetry' ([x, y] = -(-1)^(ab) [y, x])
+    and 'graded Jacobi' ([x, [y, z]] = [[x, y], z] + (-1)^(ab) [y, [x, z]])."""
+    p = alg.field.p
+    homog = _homogeneous(alg)
+    failed = set()
+    for x, a in homog:
+        for y, b in homog:
+            xy = bracket_eval(alg, x, y)
+            if any(c for c, q in zip(xy, alg.parity) if q != (a + b) % 2):
+                failed.add("grading")
+            sign = (-1) ** (a * b)
+            yx = bracket_eval(alg, y, x)
+            if any((u + sign * v) % p for u, v in zip(xy, yx)):
+                failed.add("super skew-symmetry")
+            if "graded Jacobi" in failed:
+                continue
+            for z, _ in homog:
+                lhs = bracket_eval(alg, x, bracket_eval(alg, y, z))
+                first = bracket_eval(alg, xy, z)
+                second = bracket_eval(alg, y, bracket_eval(alg, x, z))
+                if any((u - v - sign * w) % p for u, v, w in zip(lhs, first, second)):
+                    failed.add("graded Jacobi")
+                    break
+    return failed
+
+
+def brute_map_report(m: GradedMap) -> tuple[bool, bool]:
+    """(ok, surjective) of a map read on vectors: each homogeneous vector
+    goes to one of its parity, for kind 'anti' phi([x, y]) = -[phi(x),
+    phi(y)] on every vector pair, and the image has p^dim vectors."""
+    p = m.source.field.p
+
+    def phi(x: Vector) -> Vector:
+        out = [0] * m.target.dim
+        for c, row in zip(x, m.matrix):
+            out = [(o + c * r) % p for o, r in zip(out, row)]
+        return tuple(out)
+
+    ok = all(
+        not any(c for c, q in zip(phi(x), m.target.parity) if q != a)
+        for x, a in _homogeneous(m.source)
+    )
+    if m.kind == "anti":
+        vectors = space_vectors(m.source)
+        ok = ok and all(
+            phi(bracket_eval(m.source, x, y))
+            == tuple((-c) % p for c in bracket_eval(m.target, phi(x), phi(y)))
+            for x in vectors
+            for y in vectors
+        )
+    image = {phi(x) for x in space_vectors(m.source)}
+    return ok, len(image) == m.target.size

@@ -19,6 +19,8 @@ from ciflie import (
 )
 from ciflie.superalgebra import MAX_CARRIER, SpanBuilder, SubspaceBasis
 
+from oracles import brute_axiom_failures, brute_map_report
+
 
 def test_prime_field_rejects_nonprime():
     for bad in (0, 1, 4, 6, 9, 15):
@@ -69,6 +71,31 @@ def test_even_diagonal_must_vanish(F3):
     alg = superalgebra_from_pairs(F3, (0,), {(0, 0): (1,)})
     rep = validate_superalgebra(alg)
     assert not rep.ok
+
+
+def test_structure_constants_must_be_integers(F3):
+    table = (((0, 0), (0, 0)), ((0, 0), (1.5, 0)))
+    with pytest.raises(ValueError, match="structure constants must be reduced mod p"):
+        Superalgebra(F3, 2, (0, 1), table)
+
+
+def test_jacobi_failure_is_reported_with_its_witness(F3):
+    # [b0, b1] = b1 and [b1, b2] = b0: [b0, [b1, b2]] = 0 but
+    # [[b0, b1], b2] + [b1, [b0, b2]] = b0.
+    alg = superalgebra_from_pairs(F3, (0, 0, 0), {(0, 1): (0, 1, 0), (1, 2): (1, 0, 0)})
+    assert validate_superalgebra(alg).failures == (
+        "graded Jacobi: witness basis triple (b0, b1, b2)",
+    )
+
+
+def test_each_axiom_reports_its_first_witness(F3):
+    pairs = {(0, 0): (0, 2, 0), (1, 1): (0, 1, 1), (1, 2): (2, 0, 2), (2, 2): (2, 1, 0)}
+    alg = superalgebra_from_pairs(F3, (0, 1, 1), pairs)
+    assert validate_superalgebra(alg).failures == (
+        "grading: [b0, b0] has a component of wrong parity at coordinate 1",
+        "super skew-symmetry: [b0, b0] + (-1)^(0*0) [b0, b0] != 0",
+        "graded Jacobi: witness basis triple (b0, b0, b1)",
+    )
 
 
 def test_bracket_eval_examples(H):
@@ -167,6 +194,11 @@ def test_identity_is_not_anti_on_h(H):
     assert any("anti condition" in f for f in rep.failures)
 
 
+def test_map_entries_must_be_integers(H):
+    with pytest.raises(ValueError, match="matrix entries must be reduced mod p"):
+        GradedMap(H, H, ((2.0, 0), (0, 1)), kind="anti")
+
+
 def test_grading_violation_detected(H):
     # sends odd f to even e
     swap = GradedMap(H, H, ((1, 0), (1, 0)))
@@ -219,3 +251,56 @@ def test_carrier_limit_refused_before_enumeration(no_enumeration):
     with pytest.raises(ValueError, match=r"carrier too large: 7\^5 = 16807"):
         superalgebra_from_pairs(PrimeField(7), (0, 1, 0, 1, 0), {})
     assert superalgebra_from_pairs(PrimeField(5), (0, 1, 0, 1, 0), {}).size == MAX_CARRIER
+
+
+def _random_cell(rng, p, dim, density):
+    return tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(dim))
+
+
+def _random_algebra(rng, p, dim):
+    parity = tuple(rng.randrange(2) for _ in range(dim))
+    density = rng.choice((0.0, 0.2, 0.5))
+    if rng.random() < 0.5:
+        # half of these respect the grading, so Jacobi often decides
+        graded = rng.random() < 0.5
+        pairs = {}
+        for i, j in itertools.combinations_with_replacement(range(dim), 2):
+            cell = _random_cell(rng, p, dim, density)
+            if graded:
+                cell = tuple(c if q == parity[i] ^ parity[j] else 0 for c, q in zip(cell, parity))
+            pairs[i, j] = cell
+        return superalgebra_from_pairs(PrimeField(p), parity, pairs)
+    table = tuple(
+        tuple(_random_cell(rng, p, dim, density) for _ in range(dim)) for _ in range(dim)
+    )
+    return Superalgebra(PrimeField(p), dim, parity, table)
+
+
+def _random_rows(rng, source, target):
+    p = source.field.p
+    style = rng.choice(("random", "sparse", "minus-identity", "zero"))
+    if style == "minus-identity" and source.dim == target.dim:
+        return tuple(
+            tuple(p - 1 if k == i else 0 for k in range(target.dim)) for i in range(source.dim)
+        )
+    density = {"random": 1.0, "sparse": 0.3}.get(style, 0.0)
+    return tuple(_random_cell(rng, p, target.dim, density) for _ in range(source.dim))
+
+
+def test_validators_agree_with_brute_force_on_random_tables():
+    rng = random.Random(20240917)
+    seen = set()
+    for _ in range(300):
+        p, dim = rng.choice(((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)))
+        alg = _random_algebra(rng, p, dim)
+        alg_rep = validate_superalgebra(alg)
+        failed = {f.split(":")[0] for f in alg_rep.failures}
+        assert failed == brute_axiom_failures(alg), alg
+        target = alg if rng.random() < 0.5 else _random_algebra(rng, p, rng.randint(1, dim))
+        m = GradedMap(alg, target, _random_rows(rng, alg, target), rng.choice(("plain", "anti")))
+        map_rep = validate_map(m)
+        assert (map_rep.ok, map_rep.surjective) == brute_map_report(m), m
+        seen |= {("algebra", alg_rep.ok), ("map", map_rep.ok), ("surjective", map_rep.surjective)}
+        seen |= {(axiom, failed == {axiom}) for axiom in failed}
+    # every verdict was reached, and each axiom failed alone at least once
+    assert len(seen) == 6 + 3 * 2
