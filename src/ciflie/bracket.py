@@ -16,14 +16,15 @@ generators.  Two facts make each cut cheap and exact:
 * By bilinearity, span{[a, b] : a in S, b in T} is spanned by the
   brackets of a basis of span S with a basis of span T.
 
-So the thresholds are the values A and B take, and a sweep that
-brackets only the basis vectors new at each threshold against the other
-side's basis makes at most dim^2 bracket evaluations per component.  On
-homogeneous pairs the degree values form a chain and the componentwise
-reading is the joint amplitude-phase ladder; otherwise the result
-carries a note.  Whether the meets (joins) of the values form a chain is
-decided from each side's distinct values capped by the other side's top
-(bottom), without forming the k_A * k_B meets.
+So the thresholds are the values A and B take, swept as the int ranks
+of ``cifset.rank_encode``, and a sweep that brackets only the basis
+vectors new at each threshold against the other side's basis makes at
+most dim^2 bracket evaluations per component.  On homogeneous pairs the
+degree values form a chain and the componentwise reading is the joint
+amplitude-phase ladder; otherwise the result carries a note.  Whether
+the meets (joins) of the values form a chain is decided from each
+side's distinct ranks capped by the other side's top, without forming
+the k_A * k_B meets.
 
 The oracle reads each component through its level subgroups (Das's
 level subgroups of a fuzzy group; Zadeh's resolution identity): each
@@ -38,7 +39,6 @@ every carrier the package accepts (MAX_CARRIER = 3125 vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 
 from .cifset import (
@@ -49,9 +49,10 @@ from .cifset import (
     component_extension,
     from_columns,
     is_z2_graded,
-    merged_levels,
+    rank_encode,
+    rank_steps,
 )
-from .degrees import Degree, deg_join, deg_meet
+from .degrees import Degree
 from .superalgebra import (
     SpanBuilder,
     SubspaceBasis,
@@ -108,30 +109,29 @@ def _cut_spans(alg, steps):
             yield t, out
 
 
-def _achievable(A: CIFSet, B: CIFSet, side: str) -> tuple[bool, list[dict[Degree, Degree]]]:
-    """Whether the meets (membership) or joins (non-membership) of A's
-    and B's values form a chain, and per side each value's cap; when
-    they do, the caps are the achievable values.  No k_A * k_B meets are
-    formed.
+def _achievable(groups_a: dict, groups_b: dict, i: int) -> tuple[bool, list[dict]]:
+    """Whether the meets (membership, i = 0) or joins (non-membership,
+    i = 2) of A's and B's values form a chain, and per side each value's
+    cap; when they do, the caps are the achievable values.  No k_A * k_B
+    meets are formed.  A value is the rank pair (k[i], k[i + 1]) of a
+    group key k; ranks rise with the better value on both sides, so a
+    meet (join) is the componentwise min of the ranks.
 
-    Let top_B be the componentwise max of B's values and cap(u) =
+    Let top_B be the componentwise best of B's values and cap(u) =
     meet(u, top_B) for A's values (cap(v) = meet(v, top_A) for B's).
     The meets form a chain exactly when the caps do, and then the two
     sets are equal.  meet(u, v) = meet(cap(u), cap(v)), so a chain of
     caps holds every meet.  Conversely cap(u) = join(meet(u, b1),
     meet(u, b2)) for values b1, b2 of B that reach top_B's amplitude and
     phase; when the meets form a chain those two are comparable, so
-    cap(u) is one of them.  Joins are dual: componentwise min, with join
-    and meet swapped.  Sorted by (r, w), the caps form a chain when w
-    never decreases.
+    cap(u) is one of them.  Joins are dual.  Sorted by (r, w), the caps
+    form a chain when w never decreases.
     """
-    vectors = space_vectors(A.space)
-    values = [{getattr(S.table[x], side) for x in vectors} for S in (A, B)]
-    best, combine = (max, deg_meet) if side == "mem" else (min, deg_join)
-    tops = [Degree(best(d.r for d in vs), best(d.w for d in vs)) for vs in values]
-    caps = [{d: combine(d, top) for d in vs} for vs, top in zip(values, tops[::-1])]
-    ordered = sorted({c for cap in caps for c in cap.values()}, key=attrgetter("r", "w"))
-    return all(u.w <= v.w for u, v in zip(ordered, ordered[1:])), caps
+    values = [{k[i : i + 2] for k in groups} for groups in (groups_a, groups_b)]
+    tops = [(max(r for r, _ in vs), max(w for _, w in vs)) for vs in values]
+    caps = [{u: tuple(map(min, u, top)) for u in vs} for vs, top in zip(values, tops[::-1])]
+    ordered = sorted({c for cap in caps for c in cap.values()})
+    return all(u[1] <= v[1] for u, v in zip(ordered, ordered[1:])), caps
 
 
 def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
@@ -139,20 +139,21 @@ def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
     chain.  A vector enters the cut of its value's cap, the largest
     achievable value below it (dually the smallest above it)."""
     alg = _same_space(A, B)
-    chain, caps = _achievable(A, B, side)
+    scales, _, groups = rank_encode(A, B)
+    i = 0 if side == "mem" else 2
+    chain, caps = _achievable(*groups, i)
     if not chain:
         word = "membership" if side == "mem" else "non-membership"
         raise ValueError(f"achievable {word} degrees do not form a chain")
-    order = sorted(
-        {t for cap in caps for t in cap.values()}, key=attrgetter("r", "w"), reverse=side == "mem"
-    )
-    entries: list[dict[Degree, list[Vector]]] = [{}, {}]
-    for S, cap, out in zip((A, B), caps, entries):
-        for x in space_vectors(alg):
-            out.setdefault(cap[getattr(S.table[x], side)], []).append(x)
+    order = sorted({t for cap in caps for t in cap.values()}, reverse=True)
+    entries: list[dict[tuple, list[Vector]]] = [{}, {}]
+    for g, cap, out in zip(groups, caps, entries):
+        for key, xs in g.items():
+            out.setdefault(cap[key[i : i + 2]], []).extend(xs)
     steps = ((t, entries[0].get(t, ()), entries[1].get(t, ())) for t in order)
     cuts = [span.to_basis() for _, span in _cut_spans(alg, steps)]
-    return LevelCutLadder(side, tuple(order), tuple(cuts))
+    thresholds = tuple(Degree(scales[i][r], scales[i + 1][w]) for r, w in order)
+    return LevelCutLadder(side, thresholds, tuple(cuts))
 
 
 def mem_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
@@ -165,21 +166,21 @@ def non_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
     return _level_ladder(A, B, "non")
 
 
-def _component(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool, default):
-    """One component of [A, B] in carrier order: each x takes the first
-    threshold whose cut span holds it, ``default`` when none does."""
-    alg = A.space
+def _component(alg, steps) -> list:
+    """One component of [A, B] in carrier order, as ranks: each x takes
+    the first rank whose cut span holds it along ``steps`` (see
+    ``_cut_spans``), rank 0 (the off value) when none does."""
     vectors = space_vectors(alg)
-    value: dict[Vector, Fraction] = {}
+    value: dict[Vector, int] = {}
     rank = -1
-    for t, span in _cut_spans(alg, merged_levels(A, B, side, attr, descending)):
+    for t, span in _cut_spans(alg, steps):
         if span.rank > rank:
             rank = span.rank
             for x in span.to_basis().members():
                 value.setdefault(x, t)
             if len(value) == len(vectors):
                 break
-    return [value.get(x, default) for x in vectors]
+    return [value.get(x, 0) for x in vectors]
 
 
 def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
@@ -192,17 +193,15 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     so it picks up the top threshold, which is the pin.
     """
     alg = _same_space(A, B)
-    columns = [
-        _component(A, B, side, attr, descending, default)
-        for side, attr, descending, default in COMPONENTS
-    ]
+    scales, _, groups = rank_encode(A, B)
+    columns = [_component(alg, rank_steps(c, *groups)) for c in range(len(COMPONENTS))]
     notes = ()
-    if not (_achievable(A, B, "mem")[0] and _achievable(A, B, "non")[0]):
+    if not (_achievable(*groups, 0)[0] and _achievable(*groups, 2)[0]):
         notes = (
             "bracket of a non-homogeneous pair: amplitude and phase "
             "ladders computed independently",
         )
-    return from_columns(alg, columns, notes)
+    return from_columns(alg, columns, notes, scales)
 
 
 def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
@@ -219,9 +218,9 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     p = alg.field.p
     vectors = space_vectors(alg)
     getters = [attrgetter(f"{side}.{attr}") for side, attr, _, _ in COMPONENTS]
-    levels = [
-        sorted({get(S.table[x]) for S in (A, B) for x in vectors}, reverse=not descending)
-        for get, (_, _, descending, _) in zip(getters, COMPONENTS)
+    levels = [  # per component, the default then the values, worst first
+        [default, *sorted({get(S.table[x]) for S in (A, B) for x in vectors}, reverse=not descending)]
+        for get, (_, _, descending, default) in zip(getters, COMPONENTS)
     ]
     ranks = [{v: r for r, v in enumerate(level)} for level in levels]
     classes: tuple[dict, dict] = ({}, {})  # rank tuple -> A's vectors, B's indices
@@ -253,18 +252,18 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
 
     reduced = {c: tuple((c >> 10 * k & 1023) % p for k in range(alg.dim)) for c in seeds[0]}
     columns = []
-    for (_, _, _, default), codes, level in zip(COMPONENTS, seeds, levels):
+    for codes in seeds:
         # codes of one vector: the best seed comes last and wins
         seed = {reduced[c]: t for c, t in sorted(codes.items(), key=lambda item: item[1])}
-        value = {alg.zero(): level[max(seed.values())]}
+        value = {alg.zero(): max(seed.values())}
         closed = [alg.zero()]
         for g in sorted(seed, key=seed.__getitem__, reverse=True):
             if g not in value:
                 coset = [vec_add(p, x, vec_scale(p, k, g)) for k in range(1, p) for x in closed]
-                value.update((x, level[seed[g]]) for x in coset)
+                value.update((x, seed[g]) for x in coset)
                 closed += coset
-        columns.append([value.get(x, default) for x in vectors])
-    return from_columns(alg, columns, ())
+        columns.append([value.get(x, 0) for x in vectors])
+    return from_columns(alg, columns, (), levels)
 
 
 def bracket_graded_parts(A: CIFSet, B: CIFSet) -> tuple[CIFSet, CIFSet]:

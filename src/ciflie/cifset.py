@@ -10,8 +10,10 @@ The sum and the structural predicates work on level cuts, one scalar
 component at a time (mem r, mem w, non r, non w).  A membership
 component c has upper cuts {x : c(x) >= t}, swept in descending t; a
 non-membership component has lower cuts {x : c(x) <= t}, swept in
-ascending t.  The thresholds are the values the inputs take.  Every
-result equals its pairwise definition, for these reasons:
+ascending t.  The thresholds are the values the inputs take, ranked
+once per operation (``rank_encode``): sweeps, caps and row keys work on
+int ranks, and each distinct result row is decoded once.  Every result
+equals its pairwise definition, for these reasons:
 
 * min(c(a), c(b)) >= t exactly when c(a) >= t and c(b) >= t, and
   dually max(c(a), c(b)) <= t exactly when both are <= t.  So the cut
@@ -37,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
-from operator import attrgetter
+from math import lcm
 from typing import Iterable, Mapping
 
 from .degrees import (
@@ -149,47 +151,43 @@ def is_homogeneous(A: CIFSet) -> Report:
     return pair_homogeneous(A, A)
 
 
-def phase_bounds(points: list, amps: list) -> list:
-    """Per amplitude t in ``amps``: the largest phase among the (r, w)
-    ``points`` with r < t and the least with r >= t (-inf and inf when
-    there is none).  Sorting the points by amplitude turns each bound
-    into a prefix maximum or a suffix minimum of the phases."""
-    points = sorted(points)
-    phases = [w for _, w in points]
-    below = list(accumulate(phases, max, initial=-INF))
-    above = list(accumulate(reversed(phases), min, initial=INF))[::-1]
-    keys = [r for r, _ in points]
-    return [(below[i], above[i]) for i in (bisect_left(keys, t) for t in amps)]
-
-
-def _clashing(values: set[Degree], others: set[Degree]) -> set[Degree]:
-    """The u in ``values`` that some v in ``others`` orders differently
-    by amplitude and by phase: u.r <= v.r with u.w > v.w, or u.r > v.r
-    with u.w <= v.w."""
-    values = list(values)
-    bounds = phase_bounds([(v.r, v.w) for v in others], [u.r for u in values])
-    return {
-        u for u, (below, above) in zip(values, bounds) if above < u.w or below >= u.w
-    }
+def _clashing_keys(groups_a: dict, groups_b: dict) -> set[tuple]:
+    """The rank keys u of A that some key v of B orders differently by
+    amplitude and by phase, on either side: v.r >= u.r with v.w < u.w,
+    or v.r < u.r with v.w >= u.w.  With B's (r, w) points sorted by r,
+    these are a suffix minimum and a prefix maximum of the phases.
+    Non-membership ranks run against the values, so that side compares
+    negated ranks."""
+    bad = set()
+    for side in (lambda k: (k[0], k[1]), lambda k: (-k[2], -k[3])):
+        points = sorted(side(k) for k in groups_b)
+        phases = [w for _, w in points]
+        below = list(accumulate(phases, max, initial=-INF))
+        above = list(accumulate(reversed(phases), min, initial=INF))[::-1]
+        amps = [r for r, _ in points]
+        for k in groups_a:
+            r, w = side(k)
+            i = bisect_left(amps, r)
+            if above[i] < w or below[i] >= w:
+                bad.add(k)
+    return bad
 
 
 def pair_homogeneous(A: CIFSet, B: CIFSet) -> Report:
     """Cross-set version: A's degrees compare consistently against B's.
 
-    Decided on the distinct degree values; on failure the pairs are
-    scanned in carrier order, from the rows whose value clashes, for
-    the first witness.
+    Decided on the ranks of the distinct degree values; on failure the
+    pairs are scanned in carrier order, from the rows whose value
+    clashes, for the first witness.
     """
     _same_space(A, B)
+    _, key_of, groups = rank_encode(A, B)
+    bad = _clashing_keys(*groups)
     vectors = space_vectors(A.space)
-    a_degrees = [A.table[x] for x in vectors]
-    b_degrees = [B.table[y] for y in vectors]
-    bad_mem = _clashing({d.mem for d in a_degrees}, {d.mem for d in b_degrees})
-    bad_non = _clashing({d.non for d in a_degrees}, {d.non for d in b_degrees})
-    for x, dx in zip(vectors, a_degrees):
-        if dx.mem not in bad_mem and dx.non not in bad_non:
-            continue
-        for y, dy in zip(vectors, b_degrees):
+    for x in [x for x in vectors if bad and key_of[A.table[x]] in bad]:
+        dx = A.table[x]
+        for y in vectors:
+            dy = B.table[y]
             if (dx.mem.r <= dy.mem.r) != (dx.mem.w <= dy.mem.w):
                 return Report(False, (f"membership side disagrees at ({x}, {y})",))
             if (dx.non.r <= dy.non.r) != (dx.non.w <= dy.non.w):
@@ -207,42 +205,59 @@ COMPONENTS = (
 )
 
 
-def level_sets(A: CIFSet, side: str, attr: str) -> dict[Fraction, list[Vector]]:
-    """Each value of one component, with the vectors taking it in
-    carrier order.  The value is read once per distinct degree."""
-    get = attrgetter(f"{side}.{attr}")
-    groups: dict[Fraction, list[Vector]] = {}
-    group_of: dict[CIFDegree, list[Vector]] = {}
-    for x in space_vectors(A.space):
-        d = A.table[x]
-        group = group_of.get(d)
-        if group is None:
-            group = group_of[d] = groups.setdefault(get(d), [])
-        group.append(x)
-    return groups
+def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], dict, list[dict]]:
+    """Rank-encode the degrees that the given sets take, for one operation.
+
+    Per component, the distinct values and the off value are sorted once,
+    exactly, through integer keys over their common denominator, and
+    ranked so that a better value (a larger membership, a smaller
+    non-membership) has a higher rank and the off value has rank 0.
+    Returns the four scales (rank -> value), each distinct degree's rank
+    key (its four ranks), and per set its vectors grouped by rank key.
+    """
+    by_degree = []
+    for S in sets:
+        groups: dict[CIFDegree, list[Vector]] = {}
+        for x, d in S.table.items():
+            groups.setdefault(d, []).append(x)
+        by_degree.append(groups)
+    degrees = list({d: None for groups in by_degree for d in groups})
+    scales, ranks = [], []
+    for side, attr, descending, off in COMPONENTS:
+        values = [off] + [getattr(getattr(d, side), attr) for d in degrees]
+        common = lcm(*[q.denominator for q in values])
+        keys = [q.numerator * (common // q.denominator) for q in values]
+        scale = dict(zip(keys, values))
+        order = sorted(scale, reverse=not descending)
+        rank = {k: i for i, k in enumerate(order)}
+        scales.append([scale[k] for k in order])
+        ranks.append([rank[k] for k in keys[1:]])
+    key_of = dict(zip(degrees, zip(*ranks)))
+    return scales, key_of, [{key_of[d]: xs for d, xs in g.items()} for g in by_degree]
 
 
-def merged_levels(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool):
-    """Yield (t, A's vectors at t, B's vectors at t) over the values
-    either set takes on one component, in sweep order."""
-    levels_a = level_sets(A, side, attr)
-    levels_b = level_sets(B, side, attr)
-    for t in sorted(levels_a.keys() | levels_b.keys(), reverse=descending):
-        yield t, levels_a.get(t, []), levels_b.get(t, [])
+def rank_steps(c: int, *groups: dict):
+    """Yield (t, each set's vectors at rank t) over the ranks the sets
+    take on component ``c``, best first."""
+    levels: dict[int, list[list[Vector]]] = {}
+    for i, g in enumerate(groups):
+        for key, xs in g.items():
+            levels.setdefault(key[c], [[] for _ in groups])[i] += xs
+    for t in sorted(levels, reverse=True):
+        yield (t, *levels[t])
 
 
-def _cut_sweep(A: CIFSet):
-    """Yield (side, attr, descending, t, gained, is_subspace) per
-    component and threshold, in sweep order: the basis vectors the cut
-    gains at t, and whether the cut is a subspace (|cut| = p^rank)."""
-    alg = A.space
-    for side, attr, descending, _ in COMPONENTS:
+def _cut_sweep(alg: Superalgebra, groups: dict):
+    """Yield (c, t, gained, is_subspace) per component c and rank t, best
+    first: the basis vectors the cut gains at t, and whether the cut is
+    a subspace (|cut| = p^rank)."""
+    for c in range(len(COMPONENTS)):
         span = SpanBuilder(alg.field, alg.dim)
         size = 0
-        for t, xs in sorted(level_sets(A, side, attr).items(), reverse=descending):
+        for t, xs in rank_steps(c, groups):
             gained = [x for x in xs if span.add(x)]
             size += len(xs)
-            yield side, attr, descending, t, gained, size == alg.field.p ** span.rank
+            yield c, t, gained, size == alg.field.p ** span.rank
 
 
 def is_cif_subspace(A: CIFSet) -> Report:
@@ -250,7 +265,8 @@ def is_cif_subspace(A: CIFSet) -> Report:
 
     Decided by the cut criterion; a failure is rescanned for its witness.
     """
-    if all(is_subspace for *_, is_subspace in _cut_sweep(A)):
+    _, _, (groups,) = rank_encode(A)
+    if all(is_subspace for *_, is_subspace in _cut_sweep(A.space, groups)):
         return Report(True)
     return _subspace_witness(A)
 
@@ -319,12 +335,12 @@ def _cuts_absorb_bracket(A: CIFSet) -> bool:
     is checked at the cut it enters; the later cuts contain that one."""
     alg = A.space
     basis = [alg.basis(j) for j in range(alg.dim)]
-    for side, attr, descending, t, gained, _ in _cut_sweep(A):
+    _, key_of, (groups,) = rank_encode(A)
+    for c, t, gained, _ in _cut_sweep(alg, groups):
         for x in gained:
             for e in basis:
                 for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x)):
-                    c = getattr(getattr(A.table[g], side), attr)
-                    if (c < t) if descending else (c > t):
+                    if key_of[A.table[g]][c] < t:
                         return False
     return True
 
@@ -373,20 +389,20 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
     Each component is read off the sumsets of the cuts.
     """
     alg = _same_space(A, B)
-    columns = [
-        _sum_component(A, B, side, attr, descending)
-        for side, attr, descending, _ in COMPONENTS
-    ]
+    scales, _, groups = rank_encode(A, B)
+    columns = [_sum_component(alg, rank_steps(c, *groups)) for c in range(len(COMPONENTS))]
     notes = ()
-    if not pair_homogeneous(A, B):
+    if _clashing_keys(*groups):
         notes = ("sum of a non-homogeneous pair: componentwise reading applied",)
-    return from_columns(alg, columns, notes)
+    return from_columns(alg, columns, notes, scales)
 
 
-def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...]) -> CIFSet:
+def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...], scales: list) -> CIFSet:
     """The CIF set whose four components (mem r, mem w, non r, non w)
-    are the given columns, each listed in carrier order.  One CIFDegree
-    is built per distinct row and shared by the vectors that take it.
+    are the given columns of ranks, each listed in carrier order and
+    decoded through its scale (rank -> value).  Rows are keyed by their
+    rank tuples; one CIFDegree is built per distinct row and shared by
+    the vectors that take it, and one Degree per distinct rank pair.
 
     The sum, the bracket product and the image keep the budget mem.r +
     non.r <= 1, so the CIFDegree check never fires on their results.
@@ -400,27 +416,30 @@ def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...]) -> CI
     no decomposition (outside every bracket cut, off the image) has
     mem.r = 0.
     """
+    mr, mw, nr, nw = scales
     shared: dict[tuple, CIFDegree] = {}
-    table = {}
+    mems, nons, table = {}, {}, {}
     for x, row in zip(space_vectors(alg), zip(*columns)):
         d = shared.get(row)
         if d is None:
-            d = shared[row] = CIFDegree(Degree(row[0], row[1]), Degree(row[2], row[3]))
+            a, b, c, e = row
+            mem = mems.get((a, b)) or mems.setdefault((a, b), Degree(mr[a], mw[b]))
+            non = nons.get((c, e)) or nons.setdefault((c, e), Degree(nr[c], nw[e]))
+            d = shared[row] = CIFDegree(mem, non)
         table[x] = d
     return CIFSet(alg, table, notes)
 
 
-def _sum_component(A: CIFSet, B: CIFSet, side: str, attr: str, descending: bool) -> list:
-    """One component of A + B, carrier order: each x takes the first
-    threshold whose sumset A_t + B_t holds it.  The sumset grows by the
-    pairs that involve a vector new at t."""
-    alg = A.space
+def _sum_component(alg: Superalgebra, steps) -> list:
+    """One component of A + B as ranks, carrier order: each x takes the
+    first rank t along ``steps`` whose sumset A_t + B_t holds it.  The
+    sumset grows by the pairs that involve a vector new at t."""
     p = alg.field.p
     vectors = space_vectors(alg)
-    value: dict[Vector, Fraction] = {}
+    value: dict[Vector, int] = {}
     cut_a: list[Vector] = []
     cut_b: list[Vector] = []
-    for t, new_a, new_b in merged_levels(A, B, side, attr, descending):
+    for t, new_a, new_b in steps:
         if len(cut_a) + len(new_a) + len(cut_b) + len(new_b) > len(vectors):
             for x in vectors:
                 value.setdefault(x, t)
@@ -468,21 +487,19 @@ def scalar_action(alpha: int, A: CIFSet) -> CIFSet:
 
 
 def image(m: GradedMap, A: CIFSet) -> CIFSet:
-    """Push A forward: per component, the max over each fiber for the
-    memberships and the min for the non-memberships.  Off the image each
-    component takes its off-cut value, so those vectors get EMPTY."""
+    """Push A forward: per component, the best rank over each fiber (the
+    max for the memberships, the min for the non-memberships).  Off the
+    image each component takes rank 0, its off value, so those vectors
+    get EMPTY."""
     if A.space != m.source:
         raise ValueError("set does not live on the map's source")
-    fibers: dict[Vector, list[CIFDegree]] = {}
-    for x in space_vectors(m.source):
-        fibers.setdefault(apply_map(m, x), []).append(A.table[x])
-    columns = []
-    for side, attr, descending, off in COMPONENTS:
-        best, get = (max if descending else min), attrgetter(f"{side}.{attr}")
-        columns.append(
-            [best(map(get, fibers.get(y, ())), default=off) for y in space_vectors(m.target)]
-        )
-    return from_columns(m.target, columns, ())
+    scales, _, (groups,) = rank_encode(A)
+    best: dict[Vector, tuple] = {}
+    for key, xs in groups.items():
+        for y in {apply_map(m, x) for x in xs}:
+            best[y] = tuple(map(max, best.get(y, key), key))
+    columns = list(zip(*[best.get(y, (0, 0, 0, 0)) for y in space_vectors(m.target)]))
+    return from_columns(m.target, columns, (), scales)
 
 
 def preimage(m: GradedMap, B: CIFSet) -> CIFSet:

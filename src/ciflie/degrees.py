@@ -8,9 +8,10 @@ infs of finite families are componentwise maxima/minima.
 Everything is a Fraction.  Floats would turn the downstream theorem
 checks into tolerance games, so they are rejected at construction.
 
-Every degree is validated when it is built, and its hash is computed
-then, once: the kernels key dicts and sets by degrees once per vector.
-Where results are built, equal values share one object: the parser and
+Every degree is validated on its numerator and denominator ints when
+it is built, and hashed then, once: the kernels group vectors by degree,
+then sort and key the int ranks of the distinct values.  Where results
+are built, equal values share one object: the parser and
 ``from_columns`` build one degree per distinct value, and a meet or join
 whose argument dominates the other returns that argument.
 """
@@ -32,8 +33,8 @@ def as_rational(value: RatLike) -> Fraction:
 
 
 def _unit_interval(value: RatLike, what: str) -> Fraction:
-    q = as_rational(value)
-    if q < 0 or q > 1:
+    q = value if type(value) is Fraction else as_rational(value)
+    if q.numerator < 0 or q.numerator > q.denominator:
         raise ValueError(f"{what} must lie in [0, 1], got {q}")
     return q
 
@@ -96,7 +97,8 @@ class CIFDegree:
     non: Degree
 
     def __post_init__(self) -> None:
-        if self.mem.r + self.non.r > 1:
+        (a, c), (b, d) = self.mem.r.as_integer_ratio(), self.non.r.as_integer_ratio()
+        if a * d + b * c > c * d:  # a/c + b/d > 1
             raise ValueError(
                 "amplitude budget exceeded: "
                 f"{self.mem.r} + {self.non.r} > 1"

@@ -106,6 +106,49 @@ def test_budget_enforced():
     assert d.mem.r + d.non.r == 1
 
 
+BIG = 10**18
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Degree(0, 0), None),
+        (lambda: Degree(1, 1), None),
+        (lambda: Degree("1/2", 1), None),
+        (lambda: Degree(Fraction(BIG, BIG + 1), Fraction(1, BIG)), None),
+        (lambda: Degree(Fraction(-1, 3), 0), "amplitude must lie in [0, 1], got -1/3"),
+        (lambda: Degree(0, Fraction(-1, BIG)), f"phase must lie in [0, 1], got -1/{BIG}"),
+        (lambda: Degree(Fraction(4, 3), 0), "amplitude must lie in [0, 1], got 4/3"),
+        (lambda: Degree(1, Fraction(BIG + 1, BIG)), f"phase must lie in [0, 1], got {BIG + 1}/{BIG}"),
+        (lambda: Degree("-1/2", 0), "amplitude must lie in [0, 1], got -1/2"),
+        (lambda: Degree(0, "3/2"), "phase must lie in [0, 1], got 3/2"),
+        (lambda: Degree(2, 0), "amplitude must lie in [0, 1], got 2"),
+        (lambda: Degree(0, -1), "phase must lie in [0, 1], got -1"),
+        (lambda: Degree(0.5, 0), "degrees are exact: floats are not accepted"),
+        (lambda: Degree(0, 1.0), "degrees are exact: floats are not accepted"),
+        (lambda: cif_degree("2/3", 0, "1/3", 1), None),
+        (lambda: cif_degree(1, 1, 0, 0), None),
+        (lambda: cif_degree(0, 0, 1, 1), None),
+        (lambda: cif_degree(Fraction(BIG, BIG + 1), 0, Fraction(1, BIG + 1), 0), None),
+        (
+            lambda: cif_degree("1/2", 0, Fraction(1, 2) + Fraction(1, 10**9), 0),
+            "amplitude budget exceeded: 1/2 + 500000001/1000000000 > 1",
+        ),
+        (lambda: cif_degree(1, 0, Fraction(1, BIG), 0), f"amplitude budget exceeded: 1 + 1/{BIG} > 1"),
+    ],
+)
+def test_validation_boundaries(build, message):
+    """Accept or reject at the edges of [0, 1] and of the budget, with
+    the exact message, whatever the input type."""
+    if message is None:
+        build()
+        return
+    error = TypeError if "floats" in message else ValueError
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 @given(units, units, units, units)
 def test_budget_property(mr, mw, nr, nw):
     if mr + nr <= 1:

@@ -3,7 +3,8 @@
 ``bracket_product``, ``cif_sum``, ``is_cif_subspace``, ``is_cif_ideal``
 and ``pair_homogeneous`` are computed from level cuts; ``oracles`` holds
 their quadratic readings.  Agreement means the same table, the same
-notes and the same report, witness included.
+notes and the same report, witness included.  ``image`` shares their
+rank encoding and is checked against ``oracles.fiber_image``.
 """
 
 import random
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 import ciflie.bracket as bracket_module
 from ciflie import (
     CIFSet,
+    Degree,
     EMPTY,
+    GradedMap,
     SpanBuilder,
     bracket_eval,
     bracket_product,
@@ -26,6 +29,7 @@ from ciflie import (
     deg_join,
     deg_meet,
     first_difference,
+    image,
     is_cif_ideal,
     is_cif_subspace,
     is_homogeneous,
@@ -33,11 +37,14 @@ from ciflie import (
     make_cifset,
     pair_homogeneous,
     space_vectors,
+    trivial_cifset,
     validate_superalgebra,
 )
+from ciflie.cifset import rank_encode
 from ciflie.generators import gen_pair, gen_random_table, make_config
 from helpers import chain_table
 from oracles import (
+    fiber_image,
     fixpoint_bracket_product,
     is_chain,
     quadratic_bracket_product,
@@ -182,7 +189,8 @@ def test_notes_match_pairwise_chain_test_on_distinct_values(H, L3):
 def test_achievable_values_are_the_pairwise_meets(H, L3, L5):
     """The lemma behind the note and the joint ladder: the helper's
     verdict is whether the meets (joins) of the distinct values form a
-    chain, and then its capped values are exactly those meets."""
+    chain, and then its capped values, decoded from their ranks, are
+    exactly those meets."""
     rng = random.Random(3)
     pairs = []
     for alg in (H, L3):
@@ -197,8 +205,11 @@ def test_achievable_values_are_the_pairwise_meets(H, L3, L5):
         for side, combine in (("mem", deg_meet), ("non", deg_join)):
             left, right = ({getattr(S.table[x], side) for x in space_vectors(S.space)} for S in (A, B))
             combined = {combine(u, v) for u in left for v in right}
-            chain, caps = bracket_module._achievable(A, B, side)
-            values = set(caps[0].values()) | set(caps[1].values())
+            scales, _, groups = rank_encode(A, B)
+            i = 0 if side == "mem" else 2
+            chain, caps = bracket_module._achievable(*groups, i)
+            r, w = scales[i : i + 2]
+            values = {Degree(r[a], w[b]) for cap in caps for a, b in cap.values()}
             assert chain == is_chain(combined)
             if chain:
                 assert values == combined
@@ -322,3 +333,111 @@ def test_mutated_cut_kernel_is_caught(H, L3, monkeypatch, mutant):
                 if first_difference(got, want) is not None:
                     caught += 1
     assert caught > 0
+
+
+N = 10**17
+# amplitudes that floats cannot tell apart: N/(N+1) < (N+1)/(N+2)
+INNER = cif_degree(Fraction(N + 1, N + 2), Fraction(1, 2), 0, Fraction(1, 3))
+OUTER = cif_degree(Fraction(N, N + 1), Fraction(1, 2), Fraction(1, N + 1), Fraction(1, 3))
+# INNER again, every Fraction in it a distinct object
+INNER_COPY = cif_degree(Fraction(2 * N + 2, 2 * N + 4), Fraction(2, 4), Fraction(0, 5), Fraction(3, 9))
+# input values equal to the off values: mem r 0 and non r 1, mem w 0 and non w 1
+OFF_AMPLITUDE = cif_degree(0, Fraction(1, 3), 1, Fraction(1, 5))
+OFF_PHASE = cif_degree(Fraction(1, 4), 0, Fraction(1, 2), 1)
+# two degrees with the same amplitudes and different phases
+SHARED = cif_degree(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
+SHARED_AMPLITUDES = cif_degree(Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(4, 5))
+ADVERSARIAL = (INNER, OUTER, INNER_COPY, OFF_AMPLITUDE, OFF_PHASE, SHARED, SHARED_AMPLITUDES)
+
+
+def adversarial_sets(alg, rng):
+    """The trivial set, two CIF subspaces {0} < span(b0) < V built from
+    the values above, and two tables drawing from all of them."""
+    nonzero = [x for x in space_vectors(alg) if x != alg.zero()]
+    line = [x for x in nonzero if not any(x[1:])]
+
+    def chain(inner, outer):
+        return make_cifset(alg, [(x, inner[i % len(inner)]) for i, x in enumerate(line)], outer)
+
+    return [
+        trivial_cifset(alg),
+        chain((INNER, INNER_COPY), OUTER),
+        chain((SHARED,), OFF_AMPLITUDE),
+        *(make_cifset(alg, [(x, rng.choice(ADVERSARIAL)) for x in nonzero], EMPTY) for _ in range(2)),
+    ]
+
+
+def test_adversarial_values_match_pairwise_definitions(H, L3):
+    """Values that floats cannot tell apart, equal values held by
+    distinct objects, input values equal to the off values, a trivial
+    set and degrees that share some components: the rank-encoded
+    operations agree with their pairwise readings."""
+    assert INNER == INNER_COPY and INNER is not INNER_COPY
+    subspace = set()
+    for alg in (H, L3):
+        rng = random.Random(alg.dim)
+        sets = adversarial_sets(alg, rng)
+        rows = [tuple(tuple(int(i == j) for j in range(alg.dim)) for i in range(alg.dim))]
+        rows += [tuple(tuple(rng.randrange(3) for _ in range(alg.dim)) for _ in range(alg.dim)) for _ in range(3)]
+        rows += [((0,) * alg.dim,) * alg.dim]
+        for A in sets:
+            assert_same_predicates(A)
+            subspace.add(is_cif_subspace(A).ok)
+            for m in (GradedMap(alg, alg, r) for r in rows):
+                assert_same_set(image(m, A), fiber_image(m, A))
+            for B in sets:
+                assert pair_homogeneous(A, B) == quadratic_pair_homogeneous(A, B)
+                assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
+                assert_same_set(bracket_product(A, B), quadratic_bracket_product(A, B))
+    assert subspace == {True, False}
+
+
+BRACKET_NOTE = "bracket of a non-homogeneous pair: amplitude and phase ladders computed independently"
+SUM_NOTE = "sum of a non-homogeneous pair: componentwise reading applied"
+
+
+def test_notes_fire_on_their_pairwise_rules(H, L3):
+    """The notes are part of the JSON output, so their text and their
+    rule are pinned: the bracket's note fires exactly when the pairwise
+    meets or joins of the two sets' values are not a chain, the sum's
+    exactly when the pair is not homogeneous.  Generated pairs, chain
+    tables and random tables."""
+    verdicts = set()
+    for alg in (H, L3):
+        rng = random.Random(8)
+        for seed in range(12):
+            for A, B in (
+                gen_pair(make_config(seed, alg), kind=PAIR_KINDS[seed % 4]),
+                (chain_table(alg, rng), chain_table(alg, rng)),
+                (chain_table(alg, rng), random_table(alg, rng)),
+                (random_table(alg, rng), random_table(alg, rng)),
+            ):
+                left, right = ({S.table[x] for x in space_vectors(alg)} for S in (A, B))
+                chains = all(
+                    is_chain({combine(getattr(u, side), getattr(v, side)) for u in left for v in right})
+                    for side, combine in (("mem", deg_meet), ("non", deg_join))
+                )
+                homogeneous = quadratic_pair_homogeneous(A, B).ok
+                assert bracket_product(A, B).notes == (() if chains else (BRACKET_NOTE,))
+                assert cif_sum(A, B).notes == (() if homogeneous else (SUM_NOTE,))
+                verdicts.add((chains, homogeneous))
+    assert {chains for chains, _ in verdicts} == {True, False}
+    assert {homogeneous for _, homogeneous in verdicts} == {True, False}
+
+
+def test_bracket_and_sum_do_little_fraction_work(L5, monkeypatch):
+    """The kernels sort, cap and key ranks: on an L5 pair of random
+    tables (24-degree palette) a bracket product or a sum hashes or
+    orders fewer Fractions than the carrier has vectors."""
+    rng = random.Random(11)
+    A, B = gen_random_table(L5, rng), gen_random_table(L5, rng)
+    calls = []
+    hash_, richcmp = Fraction.__hash__, Fraction._richcmp
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: calls.append(q) or hash_(q))
+    monkeypatch.setattr(Fraction, "_richcmp", lambda q, o, op: calls.append(q) or richcmp(q, o, op))
+    assert hash(Fraction(1, 3)) == hash_(Fraction(1, 3)) and Fraction(1, 3) < 1
+    assert len(calls) == 2
+    for operation in (bracket_product, cif_sum):
+        calls.clear()
+        operation(A, B)
+        assert len(calls) < L5.size

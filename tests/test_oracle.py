@@ -28,7 +28,7 @@ from oracles import fixpoint_bracket_product
 
 PAIR_KINDS = ("set", "subspace", "graded", "ideal")
 SPAN_NAMES = {
-    "SpanBuilder", "SubspaceBasis", "span_closure", "_cut_spans", "merged_levels", "level_sets",
+    "SpanBuilder", "SubspaceBasis", "span_closure", "_cut_spans", "rank_encode", "rank_steps",
 }
 
 
