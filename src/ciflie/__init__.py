@@ -62,7 +62,6 @@ from .bracket import (
 )
 from .generators import (
     GenConfig,
-    GenExhausted,
     gen_anti_hom,
     gen_cif_ideal,
     gen_cif_set,

@@ -39,7 +39,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Iterable, Mapping
 
 from .degrees import (
@@ -208,12 +207,16 @@ COMPONENTS = (
 def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], dict, list[dict]]:
     """Rank-encode the degrees that the given sets take, for one operation.
 
-    Per component, the distinct values and the off value are sorted once,
-    exactly, through integer keys over their common denominator, and
-    ranked so that a better value (a larger membership, a smaller
-    non-membership) has a higher rank and the off value has rank 0.
-    Returns the four scales (rank -> value), each distinct degree's rank
-    key (its four ranks), and per set its vectors grouped by rank key.
+    Per component, the distinct values and the off value are keyed by
+    their (numerator, denominator) pairs, which Fractions keep reduced,
+    and sorted once by the float numerator / denominator.  Int true
+    division rounds correctly, so it is monotone: the floats order every
+    pair of values they tell apart, and an exact Fraction comparison
+    breaks only float ties.  Values are ranked so that a better value (a
+    larger membership, a smaller non-membership) has a higher rank and
+    the off value has rank 0.  Returns the four scales (rank -> value),
+    each distinct degree's rank key (its four ranks), and per set its
+    vectors grouped by rank key.
     """
     by_degree = []
     for S in sets:
@@ -224,14 +227,13 @@ def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], dict, list[dict]]:
     degrees = list({d: None for groups in by_degree for d in groups})
     scales, ranks = [], []
     for side, attr, descending, off in COMPONENTS:
-        values = [off] + [getattr(getattr(d, side), attr) for d in degrees]
-        common = lcm(*[q.denominator for q in values])
-        keys = [q.numerator * (common // q.denominator) for q in values]
-        scale = dict(zip(keys, values))
-        order = sorted(scale, reverse=not descending)
+        values = [getattr(getattr(d, side), attr) for d in degrees]
+        pairs = [q.as_integer_ratio() for q in values]
+        distinct = {off.as_integer_ratio(): off, **dict(zip(pairs, values))}
+        order = sorted(distinct, key=lambda k: (k[0] / k[1], distinct[k]), reverse=not descending)
         rank = {k: i for i, k in enumerate(order)}
-        scales.append([scale[k] for k in order])
-        ranks.append([rank[k] for k in keys[1:]])
+        scales.append([distinct[k] for k in order])
+        ranks.append([rank[k] for k in pairs])
     key_of = dict(zip(degrees, zip(*ranks)))
     return scales, key_of, [{key_of[d]: xs for d, xs in g.items()} for g in by_degree]
 

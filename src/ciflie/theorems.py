@@ -89,7 +89,8 @@ def _subset_witness(label: str, X: CIFSet, Y: CIFSet) -> str | None:
     return f"{label}: containment fails"
 
 
-Runner = Callable[[GenConfig, random.Random], tuple[str | None, str]]
+# A runner returns its witness (None when the law held) and its input sets.
+Runner = Callable[[GenConfig, random.Random], tuple[str | None, tuple[CIFSet, ...]]]
 
 
 def _transform(kind: str, cfg: GenConfig, rng: random.Random):
@@ -113,7 +114,7 @@ def _run_closed(kind, op, cfg, rng):
     else:
         rep, word = is_cif_ideal(out), "an ideal"
     witness = None if rep.ok else f"{op} not {word}: {rep.witness}"
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 def _run_lem_2(cfg, rng):
@@ -121,7 +122,7 @@ def _run_lem_2(cfg, rng):
     A1 = intersection(gen_cif_set(cfg, rng), B)
     A2 = intersection(gen_cif_set(cfg, rng), B)
     witness = _subset_witness("A1+A2 <= B", cif_sum(A1, A2), B)
-    return witness, _digest(A1, A2, B)
+    return witness, (A1, A2, B)
 
 
 def _lem1_inputs(cfg, rng):
@@ -137,7 +138,7 @@ def _run_lem_1(cfg, rng):
     witness = _subset_witness(
         "[A1,B1] <= [A2,B2]", bracket_product(A1, B1), bracket_product(A2, B2)
     )
-    return witness, _digest(A1, B1, A2, B2)
+    return witness, (A1, B1, A2, B2)
 
 
 def _run_thrm_1(cfg, rng):
@@ -153,7 +154,7 @@ def _run_thrm_1(cfg, rng):
         bracket_product(B, S),
         cif_sum(bracket_product(B, A1), bracket_product(B, A2)),
     )
-    return witness, _digest(A1, A2, B)
+    return witness, (A1, A2, B)
 
 
 def _run_thrm_2(cfg, rng):
@@ -164,7 +165,7 @@ def _run_thrm_2(cfg, rng):
     witness = _eq_witness(f"[{alpha}A,B] = {alpha}[A,B]", left, right) or _eq_witness(
         f"[A,{alpha}B] = {alpha}[A,B]", bracket_product(A, scalar_action(alpha, B)), right
     )
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 def _run_bilinear(kind, cfg, rng):
@@ -196,7 +197,7 @@ def _run_bilinear(kind, cfg, rng):
             label += f" = {alpha}{pair.format('A1', 'B')}+{beta}{pair.format('A2', 'B')}"
         return _eq_witness(label, left, right)
 
-    return law(False) or law(True), _digest(A1, A2, B)
+    return law(False) or law(True), (A1, A2, B)
 
 
 def _run_lem_4(cfg, rng):
@@ -204,12 +205,12 @@ def _run_lem_4(cfg, rng):
     product = bracket_product(A, B)
     rep = is_z2_graded(product)
     if not rep.ok:
-        return f"[A,B] not graded: {rep.witness}", _digest(A, B)
+        return f"[A,B] not graded: {rep.witness}", (A, B)
     part0, part1 = bracket_graded_parts(A, B)
     if not is_direct_sum(part0, part1):
-        return "graded parts are not a direct sum", _digest(A, B)
+        return "graded parts are not a direct sum", (A, B)
     witness = _eq_witness("[A,B] = [A,B]_0 + [A,B]_1", cif_sum(part0, part1), product)
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 def _run_lem_5(cfg, rng):
@@ -217,7 +218,7 @@ def _run_lem_5(cfg, rng):
     witness = _eq_witness(
         "[A,B] = [B,A]", bracket_product(A, B), bracket_product(B, A)
     )
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 def _run_bracket_contained(kind, cfg, rng):
@@ -229,7 +230,7 @@ def _run_bracket_contained(kind, cfg, rng):
         T(bracket_product(A, B)),
         bracket_product(T(A), T(B)),
     )
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 def _run_thrm_15(cfg, rng):
@@ -238,7 +239,7 @@ def _run_thrm_15(cfg, rng):
     left = preimage(phi, cif_sum(A, B))
     right = cif_sum(preimage(phi, A), preimage(phi, B))
     witness = _eq_witness("phi^-1(A+B) = phi^-1(A)+phi^-1(B)", left, right)
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 def _run_scalar_commutes(kind, letter, cfg, rng):
@@ -256,7 +257,7 @@ def _run_scalar_commutes(kind, letter, cfg, rng):
         witness = _eq_witness(
             f"{name}(0{letter}) = trivial", left, trivial_cifset(cfg.algebra)
         )
-    return witness, _digest(X)
+    return witness, (X,)
 
 
 def _run_oracle_agreement(cfg, rng):
@@ -266,7 +267,7 @@ def _run_oracle_agreement(cfg, rng):
         bracket_product(A, B),
         bracket_product_oracle(A, B),
     )
-    return witness, _digest(A, B)
+    return witness, (A, B)
 
 
 # Runners are bound to their law's transform here, but they call the
@@ -327,7 +328,8 @@ THEOREM_IDS = tuple(k for k in CATALOG if k != "oracle")
 
 
 def check_theorem(theorem_id: str, cfg: GenConfig, trials: int) -> TheoremReport:
-    """Run ``trials`` seeded instances of one catalog law."""
+    """Run ``trials`` seeded instances of one catalog law; only a
+    failing trial's inputs are digested, for its report."""
     if theorem_id not in CATALOG:
         raise KeyError(f"unknown theorem id: {theorem_id}")
     _, runner = CATALOG[theorem_id]
@@ -335,9 +337,9 @@ def check_theorem(theorem_id: str, cfg: GenConfig, trials: int) -> TheoremReport
     for index in range(trials):
         tcfg = trial_config(cfg, index)
         rng = random.Random(tcfg.seed)
-        witness, digest = runner(tcfg, rng)
+        witness, inputs = runner(tcfg, rng)
         if witness is not None:
-            failures.append(TrialFailure(tcfg.seed, digest, witness))
+            failures.append(TrialFailure(tcfg.seed, _digest(*inputs), witness))
     return TheoremReport(theorem_id, trials, tuple(sorted(failures, key=lambda f: f.seed)))
 
 

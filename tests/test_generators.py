@@ -3,6 +3,8 @@ import random
 import pytest
 
 from ciflie import (
+    PrimeField,
+    Superalgebra,
     gen_anti_hom,
     gen_cif_ideal,
     gen_cif_set,
@@ -16,7 +18,9 @@ from ciflie import (
     make_degree_pool,
     pair_homogeneous,
     validate_map,
+    validate_superalgebra,
 )
+from ciflie import generators
 from ciflie.cifset import table_fingerprint
 from ciflie.generators import (
     CHAIN_LENGTH,
@@ -92,6 +96,34 @@ def test_anti_hom_generator_sound(H, L3, AB2):
             rep = validate_map(phi)
             assert rep.ok and rep.surjective
             assert phi.kind == "anti"
+
+
+def test_minus_identity_is_an_anti_automorphism_of_any_table(monkeypatch):
+    """Once its draws run out, gen_anti_hom returns -I unchecked: -I is
+    a surjective anti-homomorphism of every structure table, also of one
+    that fails the superalgebra axioms."""
+    monkeypatch.setattr(generators, "_random_graded_invertible", lambda alg, rng: None)
+    rng = random.Random(6)
+    valid = set()
+    for _ in range(60):
+        field = PrimeField(rng.choice([2, 3, 5]))
+        dim = rng.randint(1, 4)
+        density = rng.choice([0, 0.3, 0.8])
+        structure = tuple(
+            tuple(
+                tuple(rng.randrange(field.p) if rng.random() < density else 0 for _ in range(dim))
+                for _ in range(dim)
+            )
+            for _ in range(dim)
+        )
+        alg = Superalgebra(field, dim, tuple(rng.randrange(2) for _ in range(dim)), structure)
+        valid.add(validate_superalgebra(alg).ok)
+        phi = gen_anti_hom(make_config(0, alg))
+        minus_identity = tuple(tuple((field.p - 1) * (i == k) for k in range(dim)) for i in range(dim))
+        assert phi.kind == "anti" and phi.matrix == minus_identity
+        rep = validate_map(phi)
+        assert rep.ok and rep.surjective
+    assert valid == {True, False}
 
 
 def test_determinism(H):

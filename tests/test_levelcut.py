@@ -8,7 +8,9 @@ rank encoding and is checked against ``oracles.fiber_image``.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,12 +38,15 @@ from ciflie import (
     is_trivial,
     make_cifset,
     pair_homogeneous,
+    run_cli,
+    serialize,
     space_vectors,
     trivial_cifset,
     validate_superalgebra,
 )
-from ciflie.cifset import rank_encode
+from ciflie.cifset import COMPONENTS, _subspace_witness, rank_encode
 from ciflie.generators import gen_pair, gen_random_table, make_config
+from ciflie.specfile import Workspace, WorkspaceSet
 from helpers import chain_table
 from oracles import (
     fiber_image,
@@ -441,3 +446,48 @@ def test_bracket_and_sum_do_little_fraction_work(L5, monkeypatch):
         calls.clear()
         operation(A, B)
         assert len(calls) < L5.size
+
+
+def _long_denominator_set(alg, rng, digits=1000):
+    """A set whose nonzero vectors each take a degree with a distinct
+    random odd ``digits``-digit denominator in its membership amplitude,
+    and half the rest of the budget as non-membership amplitude."""
+    denominators = set()
+    while len(denominators) < alg.size - 1:
+        denominators.add(rng.randrange(10 ** (digits - 1), 10**digits) | 1)
+    entries = []
+    for x, d in zip([x for x in space_vectors(alg) if x != alg.zero()], sorted(denominators)):
+        n = rng.randrange(1, d)
+        while gcd(n, d) != 1:
+            n = rng.randrange(1, d)
+        r = Fraction(n, d)
+        entries.append((x, cif_degree(r, Fraction(rng.randint(0, 12), 12), (1 - r) / 2, Fraction(1, 3))))
+    return make_cifset(alg, entries, EMPTY)
+
+
+def test_rank_encode_stays_light_on_long_distinct_denominators(L5, tmp_path, capsys):
+    """242 distinct 1000-digit denominators: their common denominator
+    would have about 242,000 digits, but the encoder orders the values
+    themselves.  It stays light, its scales are the plainly sorted
+    values, and ``ciflie check subspace`` on the spec file reports what
+    the pairwise scan does."""
+    A = _long_denominator_set(L5, random.Random(12))
+    tracemalloc.start()
+    try:
+        scales, key_of, _ = rank_encode(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    degrees = set(A.table.values())
+    for c, (side, attr, descending, off) in enumerate(COMPONENTS):
+        values = {getattr(getattr(d, side), attr) for d in degrees}
+        assert scales[c] == sorted(values | {off}, reverse=not descending)
+        assert all(scales[c][key_of[d][c]] == getattr(getattr(d, side), attr) for d in degrees)
+    assert len(scales[0]) == L5.size + 1  # 242 amplitudes, the off value 0 and the pin's 1
+    path = tmp_path / "long.spec"
+    path.write_text(serialize(Workspace(L5.field, {"L": L5}, {"A": WorkspaceSet("L", EMPTY, A)}, {})))
+    assert run_cli(["check", "subspace", str(path), "--name", "A"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "subspace A: FAIL\n"
+    assert captured.err == _subspace_witness(A).witness + "\n"

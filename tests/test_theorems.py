@@ -1,7 +1,10 @@
 import pytest
 
-from ciflie import CATALOG, THEOREM_IDS, check_theorem, make_config, negative_controls
+import ciflie
+from ciflie import CATALOG, THEOREM_IDS, Report, check_theorem, make_config, negative_controls
+from ciflie import theorems
 from ciflie.theorems import NEGATIVE_CONTROLS
+from helpers import rebind_everywhere
 
 
 EXPECTED_IDS = {
@@ -47,6 +50,33 @@ def test_catalog_smoke_on_h(theorem_id, H):
 def test_catalog_smoke_on_l3(theorem_id, L3):
     report = check_theorem(theorem_id, make_config(77, L3), 4)
     assert report.passed, report.failures[:2]
+
+
+def test_only_failing_trials_are_digested(H, monkeypatch):
+    """The harness hashes a trial's inputs only to report its failure:
+    not at all on a passing catalog, once per failure when every check
+    fails."""
+    calls = []
+    digest = theorems._digest
+    monkeypatch.setattr(theorems, "_digest", lambda *sets: calls.append(sets) or digest(*sets))
+    cfg = make_config(1234, H)
+    for theorem_id in CATALOG:
+        assert check_theorem(theorem_id, cfg, 3).passed
+    assert calls == []
+    failed = Report(False, ("sabotaged",))
+    for name, stand_in in {
+        "first_difference": lambda A, B: A.space.zero(),
+        "subset_of": lambda A, B: False,
+        "is_direct_sum": lambda A, B: False,
+        "is_cif_subspace": lambda A: failed,
+        "is_cif_ideal": lambda A: failed,
+        "is_z2_graded": lambda A: failed,
+    }.items():
+        rebind_everywhere(getattr(ciflie, name), stand_in, monkeypatch.setattr)
+    failures = [f for theorem_id in CATALOG for f in check_theorem(theorem_id, cfg, 3).failures]
+    assert len(failures) == 3 * len(CATALOG)
+    assert len(calls) == len(failures)
+    assert sorted(f.inputs_digest for f in failures) == sorted(digest(*sets) for sets in calls)
 
 
 def test_lem5_trivial_on_abelian(AB2):
