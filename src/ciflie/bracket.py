@@ -30,8 +30,10 @@ The oracle reads each component through its level subgroups (Das's
 level subgroups of a fuzzy group; Zadeh's resolution identity): each
 crisp bracket g is seeded with its best single-term value, and the
 seeds, swept best first, grow the additive closure one coset at a time,
-so each vector is reached once.  It uses vector addition only, no spans
-or echelon forms, and agreement between the two is the module's keystone
+so each vector is reached once.  It uses vector addition only, no spans,
+echelon forms, rank encoder or result decoder of the ladder's; it shares
+``bracket_eval``, the vector operations, ``space_vectors`` and
+``COMPONENTS``.  Agreement between the two is the module's keystone
 correctness property.  It enumerates all |V|^2 argument pairs and takes
 every carrier the package accepts (MAX_CARRIER = 3125 vectors).
 """
@@ -52,7 +54,7 @@ from .cifset import (
     rank_encode,
     rank_steps,
 )
-from .degrees import Degree
+from .degrees import CIFDegree, Degree
 from .superalgebra import (
     SpanBuilder,
     SubspaceBasis,
@@ -213,6 +215,7 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     S + (p-1)g, each new vector taking g's seed.  Zero takes the top seed,
     vectors never reached the component default.  Pairs are enumerated
     per pair of argument degrees, the seeds updated once per distinct g.
+    The ranks are the oracle's own, read back through its own levels.
     """
     alg = _same_space(A, B)
     p = alg.field.p
@@ -263,7 +266,15 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
                 value.update((x, seed[g]) for x in coset)
                 closed += coset
         columns.append([value.get(x, 0) for x in vectors])
-    return from_columns(alg, columns, (), levels)
+    decoded: dict[tuple, CIFDegree] = {}  # one degree per distinct row of ranks
+    table = {}
+    for x, row in zip(vectors, zip(*columns)):
+        d = decoded.get(row)
+        if d is None:
+            mr, mw, nr, nw = map(list.__getitem__, levels, row)
+            d = decoded[row] = CIFDegree(Degree(mr, mw), Degree(nr, nw))
+        table[x] = d
+    return CIFSet(alg, table)
 
 
 def bracket_graded_parts(A: CIFSet, B: CIFSet) -> tuple[CIFSet, CIFSet]:

@@ -317,34 +317,28 @@ def is_cif_ideal(A: CIFSet) -> Report:
     """Graded CIF subspace absorbing the bracket: the degree of [x, y]
     dominates the join of the degrees of x and y.
 
-    The bracket clause is decided by the cut-ideal criterion; a failure
-    is rescanned for its witness.
+    One sweep decides the subspace clause by the cut criterion and the
+    bracket clause by the cut-ideal criterion: a basis vector is checked
+    at the cut it enters, since the later cuts contain that one.  A
+    failing clause is rescanned for its witness.
     """
-    sub = is_cif_subspace(A)
-    if not sub:
-        return Report(False, (f"subspace clause: {sub.witness}",))
-    graded = is_z2_graded(A)
-    if not graded:
-        return Report(False, (f"grading clause: {graded.witness}",))
-    if _cuts_absorb_bracket(A):
-        return Report(True)
-    return _bracket_clause_witness(A)
-
-
-def _cuts_absorb_bracket(A: CIFSet) -> bool:
-    """Each cut, already known to be a subspace, holds the brackets of
-    its basis with the carrier's basis on both sides.  A basis vector
-    is checked at the cut it enters; the later cuts contain that one."""
     alg = A.space
     basis = [alg.basis(j) for j in range(alg.dim)]
     _, key_of, (groups,) = rank_encode(A)
-    for c, t, gained, _ in _cut_sweep(alg, groups):
-        for x in gained:
-            for e in basis:
-                for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x)):
-                    if key_of[A.table[g]][c] < t:
-                        return False
-    return True
+    absorbs = True
+    for c, t, gained, is_subspace in _cut_sweep(alg, groups):
+        if not is_subspace:
+            return Report(False, (f"subspace clause: {_subspace_witness(A).witness}",))
+        absorbs = absorbs and all(
+            key_of[A.table[g]][c] >= t
+            for x in gained
+            for e in basis
+            for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x))
+        )
+    graded = is_z2_graded(A)
+    if not graded:
+        return Report(False, (f"grading clause: {graded.witness}",))
+    return Report(True) if absorbs else _bracket_clause_witness(A)
 
 
 def _bracket_clause_witness(A: CIFSet) -> Report:

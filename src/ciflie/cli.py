@@ -4,13 +4,12 @@ Exit codes: 0 success/pass, 1 usage error (bad arguments, including an
 operation the loaded sets do not admit and an --out path that cannot be
 written), 2 load/validation error,
 3 property/check failure.  Results go to stdout (or --out), diagnostics
-to stderr.  Set COLOR=0 to disable ANSI in text reports.
+to stderr.  Text reports print verdicts as plain PASS or FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,18 +53,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("COLOR") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _verdict(passed: bool) -> str:
-    word = "PASS" if passed else "FAIL"
-    if _color_enabled():
-        code = "32" if passed else "31"
-        return f"\x1b[{code}m{word}\x1b[0m"
-    return word
+    return "PASS" if passed else "FAIL"
 
 
 def build_parser() -> _Parser:
@@ -124,10 +113,13 @@ class InvalidWorkspace(Exception):
     are the problems, one stderr line each."""
 
 
-def _workspace_reports(ws: Workspace) -> dict:
-    """'space NAME' / 'map NAME' -> its validation report, spaces first."""
+def _workspace_reports(ws: Workspace, judged: str | None = None) -> dict:
+    """'space NAME' / 'map NAME' -> its validation report, spaces first,
+    save the one labelled ``judged`` (say 'map psi')."""
     reports = {f"space {n}": validate_superalgebra(a) for n, a in ws.algebras.items()}
-    reports.update({f"map {n}": validate_map(d.map) for n, d in ws.maps.items()})
+    reports.update(
+        {f"map {n}": validate_map(d.map) for n, d in ws.maps.items() if f"map {n}" != judged}
+    )
     return reports
 
 
@@ -137,11 +129,9 @@ def _problems(reports: dict) -> list[str]:
 
 def _load_valid(path: str, judged: str | None = None) -> tuple[Workspace, bytes]:
     """Load a file whose spaces and maps all validate, save the one
-    labelled ``judged`` (say 'map psi'), whose verdict the caller
-    reports."""
+    labelled ``judged``, whose verdict the caller reports."""
     ws, data = _load(path)
-    reports = _workspace_reports(ws)
-    problems = _problems({k: rep for k, rep in reports.items() if k != judged})
+    problems = _problems(_workspace_reports(ws, judged))
     if problems:
         raise InvalidWorkspace(*problems)
     return ws, data
@@ -251,17 +241,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    ws, data = _load_valid(args.file)
     op = args.operation
+    if args.oracle and op != "bracket":
+        raise UsageError("--oracle applies to bracket only")
+    ws, data = _load_valid(args.file)
     A = _require_set(ws, args.left)
-    oracle_checked = False
     if op in _BINARY_OPS:
         if args.right is None:
             raise UsageError(f"{op} needs --right")
         B = _require_set(ws, args.right)
         result = _BINARY_OPS[op](A, B)
-        if op == "bracket" and args.oracle:
-            oracle_checked = True
+        if args.oracle:
             diff = first_difference(result, bracket_product_oracle(A, B))
             if diff is not None:
                 print(
@@ -292,7 +282,7 @@ def _cmd_compute(args) -> int:
             "input_digest": input_digest(data),
             "operation": op,
             "args": arg_block,
-            "oracle_checked": oracle_checked,
+            "oracle_checked": args.oracle,
             "notes": list(result.notes),
             "result": cifset_rows(result),
         }

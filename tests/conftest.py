@@ -62,3 +62,21 @@ def L4():
     return superalgebra_from_pairs(
         PrimeField(5), (0, 1, 1, 0), {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0)}
     )
+
+
+@pytest.fixture(scope="session")
+def sl2(F3):
+    """sl2 over F_3, all even: [b0,b1] = b0, [b0,b2] = b1, [b1,b2] = b2.
+    Its derived algebra [V, V] is the whole carrier."""
+    return superalgebra_from_pairs(
+        F3, (0, 0, 0), {(0, 1): (1, 0, 0), (0, 2): (0, 1, 0), (1, 2): (0, 0, 1)}
+    )
+
+
+@pytest.fixture(scope="session")
+def C2(F3):
+    """F_3^4 with even b0, b1 and odd b2, b3: [b2,b2] = b0, [b3,b3] = b1.
+    Its derived algebra [V, V] has rank 2."""
+    return superalgebra_from_pairs(
+        F3, (0, 0, 1, 1), {(2, 2): (1, 0, 0, 0), (3, 3): (0, 1, 0, 0)}
+    )

@@ -30,8 +30,10 @@ from ciflie import (
     superalgebra_from_pairs,
     trivial_cifset,
 )
+import ciflie.cifset as cifset_module
 from ciflie.bracket import bracket_product
 from ciflie.generators import make_config, gen_cif_subspace, gen_pair
+from oracles import quadratic_is_cif_ideal
 
 E, F = (1, 0), (0, 1)
 D_MAIN = cif_degree("2/3", "1/2", "1/4", "1/3")
@@ -174,6 +176,35 @@ def test_ideal_counterexample_on_h(H):
     rep = is_cif_ideal(A)
     assert not rep.ok
     assert "bracket clause" in rep.witness
+
+
+def test_ideal_reports_the_first_clause_that_fails(H):
+    """One sweep decides the subspace and the bracket clause, yet the
+    report names the first failing clause in the pairwise order:
+    subspace, grading, bracket."""
+    hi = cif_degree("2/3", "2/3", "1/4", "1/4")
+    lo = cif_degree("1/3", "1/3", "1/2", "1/2")
+    # the top cut span(f) misses [f, f] = e, and the next cut
+    # {0, f, 2f, e + f} is not a subspace
+    A = make_cifset(H, [(F, hi), ((0, 2), hi), ((1, 1), lo)], EMPTY)
+    # span(e + f) is a subspace, neither graded nor absorbing [e + f, f] = e
+    B = make_cifset(H, [((1, 1), hi), ((2, 2), hi)], EMPTY)
+    for S, clause in ((A, "subspace clause: "), (B, "grading clause: ")):
+        rep = is_cif_ideal(S)
+        assert rep == quadratic_is_cif_ideal(S)
+        assert rep.witness.startswith(clause)
+
+
+def test_passing_ideal_check_encodes_once(L3, monkeypatch):
+    calls = []
+    encode = cifset_module.rank_encode
+    monkeypatch.setattr(cifset_module, "rank_encode", lambda *sets: calls.append(sets) or encode(*sets))
+    ideals = [S for seed in range(4) for S in gen_pair(make_config(seed, L3), kind="ideal")]
+    assert not all(is_trivial(S) for S in ideals)
+    for S in ideals:
+        calls.clear()
+        assert is_cif_ideal(S)
+        assert len(calls) == 1
 
 
 def test_graded_examples(H):
@@ -349,3 +380,27 @@ def test_sum_bracket_and_image_keep_the_amplitude_budget(H, L3, seed, on_l3, pin
     rows = tuple(tuple(rng.randrange(3) for _ in range(alg.dim)) for _ in range(alg.dim))
     for result in (cif_sum(A, B), bracket_product(A, B), image(GradedMap(alg, alg, rows), A)):
         assert all(d.mem.r + d.non.r <= 1 for d in result.table.values())
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (
+            lambda H, L3: make_cifset(H, [(F, EMPTY), (F, EMPTY)], EMPTY),
+            "duplicate entry for vector (0, 1)",
+        ),
+        (lambda H, L3: component_extension(trivial_cifset(H), 2), "parity must be 0 (even) or 1 (odd)"),
+        (
+            lambda H, L3: image(GradedMap(H, H, ((1, 0), (0, 1))), trivial_cifset(L3)),
+            "set does not live on the map's source",
+        ),
+        (
+            lambda H, L3: preimage(GradedMap(H, H, ((1, 0), (0, 1))), trivial_cifset(L3)),
+            "set does not live on the map's target",
+        ),
+    ],
+)
+def test_operations_refuse_sets_they_cannot_take(H, L3, build, message):
+    with pytest.raises(ValueError) as info:
+        build(H, L3)
+    assert str(info.value) == message

@@ -1,8 +1,12 @@
 import json
+import re
+import sys
 
 import pytest
 
-from ciflie import run_cli
+import ciflie
+from ciflie import Report, run_cli, trivial_cifset
+from helpers import rebind_everywhere
 
 H_DOC = """\
 field 3
@@ -284,10 +288,19 @@ def test_verify_invalid_file_blocks(tmp_path, capsys):
     assert run_cli(["verify", "lem-5", str(path), "--trials", "1"]) == 2
 
 
-def test_color_disabled_in_reports(spec_file, capsys, monkeypatch):
-    monkeypatch.setenv("COLOR", "0")
-    run_cli(["check", "subspace", spec_file, "--name", "A"])
-    assert "\x1b[" not in capsys.readouterr().out
+def test_no_ansi_on_a_terminal(spec_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    for argv in (
+        ["check", "subspace", spec_file, "--name", "A"],
+        ["check", "subspace", spec_file, "--name", "N"],
+        ["check", "anti-hom", spec_file, "--name", "phi"],
+        ["check", "direct-sum", spec_file, "--name", "A", "--with", "B"],
+        ["verify", "lem-5", spec_file, "--trials", "1"],
+    ):
+        run_cli(argv)
+        out = capsys.readouterr().out
+        assert "PASS" in out or "FAIL" in out
+        assert "\x1b[" not in out
 
 
 @pytest.mark.parametrize("trials", ["-1", "0"])
@@ -427,3 +440,88 @@ def test_unwritable_out_is_a_usage_error(spec_file, tmp_path, capsys, argv):
         assert captured.out == ""
         assert captured.err.startswith(f"usage error: cannot write '{out}': ")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--right", "B"],
+        ["intersection", "--right", "B"],
+        ["scalar", "--alpha", "2"],
+        ["image", "--map", "phi"],
+        ["preimage", "--map", "phi"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oracle_on_another_operation_is_a_usage_error(spec_file, capsys, argv):
+    full = ["compute", argv[0], spec_file, "--left", "A", *argv[1:], "--oracle"]
+    assert run_cli(full) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --oracle applies to bracket only\n"
+
+
+def test_check_anti_hom_validates_the_judged_map_once(spec_file, capsys, monkeypatch):
+    import ciflie.cli as cli
+
+    calls = []
+    original = cli.validate_map
+    monkeypatch.setattr(cli, "validate_map", lambda m: calls.append(m) or original(m))
+    assert run_cli(["check", "anti-hom", spec_file, "--name", "phi"]) == 0
+    assert capsys.readouterr().out == "anti-hom phi: PASS (surjective)\n"
+    assert [m.kind for m in calls] == ["anti"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "err"),
+    [
+        (["compute", "scalar", "--left", "A"], 1, "usage error: scalar needs --alpha\n"),
+        (["check", "direct-sum", "--name", "A"], 1, "usage error: direct-sum needs --with\n"),
+        (
+            ["compute", "image", "--left", "A", "--map", "psi"],
+            2,
+            "load error: line 0: unknown map 'psi'\n",
+        ),
+        (
+            ["check", "anti-hom", "--name", "psi"],
+            2,
+            "load error: line 0: unknown map 'psi'\n",
+        ),
+    ],
+)
+def test_refusals_print_their_reason_and_exit_code(spec_file, capsys, argv, code, err):
+    assert run_cli(argv[:2] + [spec_file] + argv[2:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_text_compute_prints_the_result_notes(spec_file, capsys):
+    assert run_cli(["compute", "sum", spec_file, "--left", "A", "--right", "N"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "# vector | mem r w | non r w",
+        "# note: sum of a non-homogeneous pair: componentwise reading applied",
+        "0 0 | 1/1 1/1 | 0/1 0/1",
+    ]
+
+
+def test_oracle_mismatch_exits_3(spec_file, capsys, monkeypatch):
+    import ciflie.cli as cli
+
+    monkeypatch.setattr(cli, "bracket_product_oracle", lambda A, B: trivial_cifset(A.space))
+    argv = ["compute", "bracket", spec_file, "--left", "A", "--right", "B", "--oracle"]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle mismatch at vector (1, 0): ladder and coset oracle disagree\n"
+
+
+def test_verify_text_lists_the_first_five_failures(spec_file, capsys, monkeypatch):
+    failed = Report(False, ("sabotaged",))
+    rebind_everywhere(ciflie.is_cif_subspace, lambda A: failed, monkeypatch.setattr)
+    assert run_cli(["verify", "mylemma-1", spec_file, "--trials", "7", "--seed", "9"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "mylemma-1 on H: FAIL (7 trials, 7 failures)"
+    assert len(lines) == 6
+    assert all(re.fullmatch(r"  seed \d+: .*sabotaged", line) for line in lines[1:])

@@ -5,6 +5,7 @@ import pytest
 from ciflie import (
     PrimeField,
     Superalgebra,
+    cif_degree,
     gen_anti_hom,
     gen_cif_ideal,
     gen_cif_set,
@@ -161,3 +162,22 @@ def test_crisp_ideal_closure_is_an_ideal(H, L3):
                     assert basis.contains(bracket_eval(alg, alg.basis(j), w))
             for g in gens:
                 assert basis.contains(g)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda H: make_degree_pool(random.Random(0), 0), "pool length must be positive"),
+        (
+            # memberships rise, but the non-membership amplitude stays at 1/2
+            lambda H: GenConfig(
+                0, H, (cif_degree("1/3", "1/3", "1/2", "1/2"), cif_degree("1/2", "1/2", "1/2", "1/4"))
+            ),
+            "pool non-memberships must strictly decrease",
+        ),
+    ],
+)
+def test_pools_that_are_not_chains_are_refused(H, build, message):
+    with pytest.raises(ValueError) as info:
+        build(H)
+    assert str(info.value) == message

@@ -14,21 +14,27 @@ import pytest
 
 import ciflie.bracket as bracket_module
 from ciflie import (
+    bracket_eval,
     bracket_product,
     bracket_product_oracle,
+    check_theorem,
     first_difference,
     gen_pair,
     gen_random_table,
     is_trivial,
     make_config,
+    span_closure,
     superalgebra_from_pairs,
     validate_superalgebra,
 )
-from oracles import fixpoint_bracket_product
+from ciflie.cifset import from_columns, rank_encode, rank_steps
+from helpers import rebind_everywhere
+from oracles import fixpoint_bracket_product, quadratic_bracket_product
 
 PAIR_KINDS = ("set", "subspace", "graded", "ideal")
 SPAN_NAMES = {
     "SpanBuilder", "SubspaceBasis", "span_closure", "_cut_spans", "rank_encode", "rank_steps",
+    "from_columns",
 }
 
 
@@ -170,3 +176,52 @@ def test_oracle_matches_ladder_on_729_vectors(F3):
         K = bracket_product_oracle(A, B)
         assert not is_trivial(K)
         assert first_difference(bracket_product(A, B), K) is None
+
+
+def test_oracle_does_not_read_through_the_ladder_decoder(H, monkeypatch):
+    """A decoder that reads the mem-r column as mem-w breaks the ladder
+    only, so the oracle law sees the two disagree."""
+
+    def misread(alg, columns, notes, scales):
+        columns = [columns[0], columns[0], *columns[2:]]
+        return from_columns(alg, columns, notes, [scales[0], scales[0], *scales[2:]])
+
+    assert check_theorem("oracle", make_config(7, H), 20).passed
+    rebind_everywhere(from_columns, misread, monkeypatch.setattr)
+    assert not check_theorem("oracle", make_config(7, H), 20).passed
+
+
+def _derived_rank(alg) -> int:
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    return span_closure(alg, [bracket_eval(alg, x, y) for x in basis for y in basis]).rank
+
+
+def _reaches_full_carrier(A, B) -> bool:
+    """Whether some component's cut span becomes the whole carrier, the
+    exit at which the ladder has valued every vector."""
+    alg = A.space
+    _, _, groups = rank_encode(A, B)
+    return any(
+        span.rank == alg.dim
+        for c in range(4)
+        for _, span in bracket_module._cut_spans(alg, rank_steps(c, *groups))
+    )
+
+
+@pytest.mark.parametrize(("name", "derived", "quadratic_every"), [("sl2", 3, 1), ("C2", 2, 4)])
+def test_keystone_on_larger_derived_algebras(request, name, derived, quadratic_every):
+    """Every other algebra brackets into a derived algebra of rank at
+    most 1; here the ladder's output spans reach rank 2 and 3.  The
+    quadratic reference costs about 0.2 s a pair on C2, so it checks
+    every fourth pair there."""
+    alg = request.getfixturevalue(name)
+    assert validate_superalgebra(alg).ok
+    assert _derived_rank(alg) == derived
+    pairs = seeded_pairs(alg, 12)
+    for i, (A, B) in enumerate(pairs):
+        K = bracket_product(A, B)
+        assert first_difference(K, bracket_product_oracle(A, B)) is None
+        if i % quadratic_every == 0:
+            assert first_difference(K, quadratic_bracket_product(A, B)) is None
+    if name == "sl2":
+        assert all(_reaches_full_carrier(A, B) for A, B in pairs)

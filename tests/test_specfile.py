@@ -237,3 +237,58 @@ def test_bad_degree_after_repeats_is_reported_at_its_first_line(bad, fragment):
     # a repeat of a good tuple after it still parses
     ws = parse_spec(REPEATS + "entry A 1 1 deg 1/2 1/2 1/2 1/2\n")
     assert ws.sets["A"].cifset.table[(1, 1)] == cif_degree("1/2", "1/2", "1/2", "1/2")
+
+
+SPACE_H = "field 3\nspace H dim 2 parity 0 1\n"
+SET_A = "cifset A on H default 0 0 1 1\n"
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ("field 3\nspace 9H dim 1 parity 0\n", "line 2: invalid name '9H'"),
+        ("field 3\nspace H dim 2\n", "line 2: usage: space NAME dim INT parity BIT..."),
+        ("field 3\nspace H dim 2 parity 0 2\n", "line 2: parity bit must be 0 or 1, got '2'"),
+        (SPACE_H + "bracket H 1 1 1 0\n", "line 3: usage: bracket NAME i j -> c_1 ... c_n"),
+        (SPACE_H + "bracket H 0 2 -> 1 0\n", "line 3: basis indices must be in 0..1"),
+        (
+            SPACE_H + "bracket H 1 1 -> 1 0\nbracket H 1 1 -> 2 0\n",
+            "line 4: duplicate bracket declaration for (1, 1)",
+        ),
+        (SPACE_H + "cifset A on H\n", "line 3: usage: cifset NAME on SPACE default R W RH WH"),
+        (SPACE_H + SET_A + SET_A, "line 4: duplicate cifset 'A'"),
+        (SPACE_H + SET_A + "entry A\n", "line 4: usage: entry NAME v_1 ... v_n deg R W RH WH"),
+        (
+            SPACE_H + SET_A + "entry A 0 1 deg 1 1 0\n",
+            "line 4: usage: entry NAME v_1 ... v_n deg R W RH WH",
+        ),
+        (
+            SPACE_H + "map phi H H kind anti rows 1 0 / 0 1\n",
+            "line 3: usage: map NAME SPACE -> SPACE kind {plain|anti} rows c ... / ...",
+        ),
+        (SPACE_H + "map phi H -> H kind anti rows 1 0\n", "line 3: expected 2 rows, got 1"),
+        (
+            SPACE_H + "map phi H -> H kind anti rows 1 0 / 0 1\n" * 2,
+            "line 4: duplicate map 'phi'",
+        ),
+    ],
+)
+def test_each_refusal_names_its_line(doc, message):
+    with pytest.raises(SpecError) as info:
+        parse_spec(doc)
+    assert str(info.value) == message
+
+
+def test_catch_alls_turn_any_other_error_into_a_spec_error(monkeypatch):
+    import ciflie.specfile as specfile
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(specfile._STATEMENTS, "space", boom)
+    with pytest.raises(SpecError, match=r"^line 2: malformed statement: boom$"):
+        parse_spec(MINIMAL)
+    monkeypatch.undo()
+    monkeypatch.setattr(specfile, "make_cifset", boom)
+    with pytest.raises(SpecError, match=r"^line 0: inconsistent document: boom$"):
+        parse_spec(SPACE_H + SET_A)

@@ -304,3 +304,62 @@ def test_validators_agree_with_brute_force_on_random_tables():
         seen |= {(axiom, failed == {axiom}) for axiom in failed}
     # every verdict was reached, and each axiom failed alone at least once
     assert len(seen) == 6 + 3 * 2
+
+
+ZERO_2 = ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize(
+    ("build", "error", "message"),
+    [
+        (lambda F, H: F.inv(0), ZeroDivisionError, "0 has no inverse"),
+        (lambda F, H: Superalgebra(F, 2, (0,), ()), ValueError, "parity must be a tuple of dim bits"),
+        (
+            lambda F, H: Superalgebra(F, 2, (0, 1), (ZERO_2,)),
+            ValueError,
+            "structure table must have shape dim x dim x dim",
+        ),
+        (
+            lambda F, H: Superalgebra(F, 2, (0, 1), (ZERO_2, ((0, 0),))),
+            ValueError,
+            "structure table must have shape dim x dim x dim",
+        ),
+        (
+            lambda F, H: Superalgebra(F, 2, (0, 1), (ZERO_2, ((0, 0), (0,)))),
+            ValueError,
+            "structure table must have shape dim x dim x dim",
+        ),
+        (
+            lambda F, H: superalgebra_from_pairs(F, (0, 1), {(1, 0): (1, 0)}),
+            ValueError,
+            "pair (1, 0) must satisfy 0 <= i <= j < dim",
+        ),
+        (
+            lambda F, H: superalgebra_from_pairs(F, (0, 1), {(1, 1): (1,)}),
+            ValueError,
+            "pair (1, 1) needs 2 constants",
+        ),
+        (lambda F, H: graded_split(H, (1,)), ValueError, "dimension mismatch"),
+        (lambda F, H: apply_map(GradedMap(H, H, ZERO_2), (1,)), ValueError, "dimension mismatch"),
+        (lambda F, H: span_closure(H, [(1,)]), ValueError, "generator has wrong length"),
+        (lambda F, H: SubspaceBasis(F, 2, ((1,),)), ValueError, "basis row has wrong length"),
+        (lambda F, H: SubspaceBasis(F, 2, ((1, 1), (0, 1))), ValueError, "basis must be fully reduced"),
+        (lambda F, H: SubspaceBasis(F, 2, ((1, 0),)).contains((1,)), ValueError, "dimension mismatch"),
+        (lambda F, H: GradedMap(H, H, ZERO_2, "linear"), ValueError, "kind must be 'plain' or 'anti'"),
+        (
+            lambda F, H: GradedMap(H, superalgebra_from_pairs(PrimeField(5), (0, 1), {}), ZERO_2),
+            ValueError,
+            "source and target must share the ground field",
+        ),
+        (
+            lambda F, H: GradedMap(H, H, ((0, 0),)),
+            ValueError,
+            "matrix must have one row per source basis vector",
+        ),
+        (lambda F, H: GradedMap(H, H, ((0, 0), (0,))), ValueError, "matrix row has wrong length"),
+    ],
+)
+def test_constructors_and_kernels_refuse_bad_shapes(F3, H, build, error, message):
+    with pytest.raises(error) as info:
+        build(F3, H)
+    assert str(info.value) == message

@@ -108,3 +108,17 @@ def test_negative_controls_partially_inapplicable_on_abelian(AB2):
     report = negative_controls(make_config(11, AB2), trials=30)
     # the ideal mutation has no witness on an abelian algebra
     assert "ideal-on-nonideal: not applicable" in report.note
+
+
+@pytest.mark.parametrize("name", ["sl2", "C2"])
+def test_catalog_and_controls_on_larger_derived_algebras(request, name):
+    """A few trials of every law, and the negative controls, where the
+    bracket products span more than one dimension."""
+    cfg = make_config(7, request.getfixturevalue(name))
+    failing = [tid for tid in sorted(CATALOG) if not check_theorem(tid, cfg, 2).passed]
+    assert failing == []
+    report = negative_controls(cfg, trials=60)
+    assert report.passed, report.failures
+    # sl2 is all even, so only the grading control has no witness there
+    inapplicable = ["graded-on-nongraded"] if name == "sl2" else []
+    assert [n for n in NEGATIVE_CONTROLS if f"{n}: not applicable" in report.note] == inapplicable
