@@ -1,14 +1,14 @@
 """The CIF bracket product [A, B] and its independent cross-check.
 
-The production algorithm is a level-cut ladder, run once per scalar
-component of the degree (mem r, mem w, non r, non w).  For a membership
-component c and a threshold t, the cut of [A, B] is the span of the
-crisp brackets [a, b] with c_A(a) >= t and c_B(b) >= t, and x takes the
-largest t whose cut holds it (0 when none does).  Non-membership
-components are dual: lower cuts, ascending thresholds, default 1.  The
-sup over decompositions of unbounded length collapses to span
-membership because any span element is a finite combination of cut
-generators.  Two facts make each cut cheap and exact:
+The production algorithm is a level-cut ladder, run once per distinct
+level split of the degree's scalar components (mem r, mem w, non r,
+non w).  For a membership component c and a threshold t, the cut of
+[A, B] is the span of the crisp brackets [a, b] with c_A(a) >= t and
+c_B(b) >= t, and x takes the largest t whose cut holds it (0 when none
+does).  Non-membership components are dual: lower cuts, ascending
+thresholds, default 1.  The sup over decompositions of unbounded length
+collapses to span membership because any span element is a finite
+combination of cut generators.  Two facts make each cut cheap and exact:
 
 * min(c_A(a), c_B(b)) >= t exactly when c_A(a) >= t and c_B(b) >= t
   (dually max <= t exactly when both are <= t), so the pairs clearing t
@@ -16,15 +16,19 @@ generators.  Two facts make each cut cheap and exact:
 * By bilinearity, span{[a, b] : a in S, b in T} is spanned by the
   brackets of a basis of span S with a basis of span T.
 
-So the thresholds are the values A and B take, swept as the int ranks
-of ``cifset.rank_encode``, and a sweep that brackets only the basis
-vectors new at each threshold against the other side's basis makes at
-most dim^2 bracket evaluations per component.  On homogeneous pairs the
-degree values form a chain and the componentwise reading is the joint
-amplitude-phase ladder; otherwise the result carries a note.  Whether
-the meets (joins) of the values form a chain is decided from each
-side's distinct ranks capped by the other side's top, without forming
-the k_A * k_B meets.
+So the thresholds are the values A and B take, swept as the int ranks of
+``cifset.rank_encode``, and a sweep that brackets only the basis vectors
+new at each threshold against the other side's basis makes at most dim^2
+bracket evaluations per component.  A component is fixed by its family
+of cuts (Zadeh's resolution identity) and the sweep reads t as a label
+only.  The ranks are dense over the values taken, so two components that
+cut A and B into the same levels, with rank 0 in both or in neither,
+carry the same labels too: ``cifset.shared_columns`` sweeps once for
+both.  On homogeneous pairs the degree values form a chain and the
+componentwise reading is the joint amplitude-phase ladder; otherwise the
+result carries a note.  Whether the meets (joins) of the values form a
+chain is decided from each side's distinct ranks capped by the other
+side's top, without forming the k_A * k_B meets.
 
 The oracle reads each component through its level subgroups (Das's
 level subgroups of a fuzzy group; Zadeh's resolution identity): each
@@ -52,7 +56,7 @@ from .cifset import (
     from_columns,
     is_z2_graded,
     rank_encode,
-    rank_steps,
+    shared_columns,
 )
 from .degrees import CIFDegree, Degree
 from .superalgebra import (
@@ -196,7 +200,7 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     """
     alg = _same_space(A, B)
     scales, _, groups = rank_encode(A, B)
-    columns = [_component(alg, rank_steps(c, *groups)) for c in range(len(COMPONENTS))]
+    columns = shared_columns(_component, alg, groups)
     notes = ()
     if not (_achievable(*groups, 0)[0] and _achievable(*groups, 2)[0]):
         notes = (

@@ -12,8 +12,12 @@ component c has upper cuts {x : c(x) >= t}, swept in descending t; a
 non-membership component has lower cuts {x : c(x) <= t}, swept in
 ascending t.  The thresholds are the values the inputs take, ranked
 once per operation (``rank_encode``): sweeps, caps and row keys work on
-int ranks, and each distinct result row is decoded once.  Every result
-equals its pairwise definition, for these reasons:
+int ranks, and each distinct result row is decoded once.  The sum and
+the bracket product run their kernel once per distinct level split
+(``shared_columns``): a component is fixed by its cuts, and two
+components with the same levels, rank 0 in both or in neither, have the
+same ranks.  Every result equals its pairwise definition, for these
+reasons:
 
 * min(c(a), c(b)) >= t exactly when c(a) >= t and c(b) >= t, and
   dually max(c(a), c(b)) <= t exactly when both are <= t.  So the cut
@@ -97,14 +101,12 @@ def make_cifset(
     entry must agree with the pin.  Degree budgets are enforced by the
     CIFDegree constructor.
     """
-    vectors = space_vectors(space)
-    universe = set(vectors)
-    table: dict[Vector, CIFDegree] = {v: default for v in vectors}
+    table: dict[Vector, CIFDegree] = dict.fromkeys(space_vectors(space), default)
     zero = space.zero()
     seen: set[Vector] = set()
     for v, d in entries:
         v = tuple(v)
-        if v not in universe:
+        if v not in table:
             raise ValueError(f"vector {v} does not belong to the space")
         if v in seen:
             raise ValueError(f"duplicate entry for vector {v}")
@@ -249,6 +251,24 @@ def rank_steps(c: int, *groups: dict):
         yield (t, *levels[t])
 
 
+def shared_columns(kernel, alg: Superalgebra, groups: list[dict]) -> list[list[int]]:
+    """The four columns ``kernel(alg, rank_steps(c, *groups))``, with the
+    kernel run once per distinct level split.  A component's split is
+    the rank it gives each group key.  The ranks are dense over the
+    values the sets take and the off value, so two components that cut
+    the sets into the same levels, with the last at rank 0 in both or in
+    neither, split alike: their steps, and so their columns, are equal."""
+    runs: dict[tuple, list[int]] = {}
+    columns = []
+    for c in range(len(COMPONENTS)):
+        # via a list: tuple(generator) resizes as it grows, fragmenting the heap
+        split = tuple([key[c] for g in groups for key in g])
+        if split not in runs:
+            runs[split] = kernel(alg, rank_steps(c, *groups))
+        columns.append(runs[split])
+    return columns
+
+
 def _cut_sweep(alg: Superalgebra, groups: dict):
     """Yield (c, t, gained, is_subspace) per component c and rank t, best
     first: the basis vectors the cut gains at t, and whether the cut is
@@ -386,7 +406,7 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
     """
     alg = _same_space(A, B)
     scales, _, groups = rank_encode(A, B)
-    columns = [_sum_component(alg, rank_steps(c, *groups)) for c in range(len(COMPONENTS))]
+    columns = shared_columns(_sum_component, alg, groups)
     notes = ()
     if _clashing_keys(*groups):
         notes = ("sum of a non-homogeneous pair: componentwise reading applied",)

@@ -18,16 +18,14 @@ from .theorems import TheoremReport
 
 
 def cifset_rows(A: CIFSet) -> list[dict]:
+    rendered: dict = {}
     rows = []
     for v in space_vectors(A.space):
         d = A.table[v]
-        rows.append(
-            {
-                "vector": list(v),
-                "mem": [rat_str(d.mem.r), rat_str(d.mem.w)],
-                "non": [rat_str(d.non.r), rat_str(d.non.w)],
-            }
-        )
+        if d not in rendered:
+            rendered[d] = [rat_str(d.mem.r), rat_str(d.mem.w)], [rat_str(d.non.r), rat_str(d.non.w)]
+        mem, non = rendered[d]
+        rows.append({"vector": list(v), "mem": mem, "non": non})
     return rows
 
 

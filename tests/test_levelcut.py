@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ciflie.bracket as bracket_module
+import ciflie.cifset as cifset_module
 from ciflie import (
     CIFSet,
     Degree,
@@ -491,3 +492,112 @@ def test_rank_encode_stays_light_on_long_distinct_denominators(L5, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == "subspace A: FAIL\n"
     assert captured.err == _subspace_witness(A).witness + "\n"
+
+
+def count_kernel_runs(monkeypatch) -> list[str]:
+    """Record the name of each level-cut kernel run by the bracket
+    product (``_component``) and the sum (``_sum_component``)."""
+    runs = []
+    for module, name in ((bracket_module, "_component"), (cifset_module, "_sum_component")):
+        kernel = getattr(module, name)
+
+        def counted(alg, steps, kernel=kernel, name=name):
+            runs.append(name)
+            return kernel(alg, steps)
+
+        monkeypatch.setattr(module, name, counted)
+    return runs
+
+
+def test_rank_zero_last_level_is_not_shared(H, monkeypatch):
+    """Off the pin, A takes mem r 0, the off value, and mem w 1/2: both
+    components cut H into the same two levels, but only mem r's last
+    level is rank 0.  In a bracket, rank 0 reads as that level on mem r
+    and as off every cut on mem w, so the two must not share a column."""
+    A = make_cifset(H, [], cif_degree(0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+    runs = count_kernel_runs(monkeypatch)
+    K = bracket_product(A, A)
+    assert runs == ["_component"] * 2  # mem r; mem w, non r and non w alike
+    assert_same_set(K, quadratic_bracket_product(A, A))
+    assert K.mem((1, 0)) == Degree(0, Fraction(1, 2))  # e = [f, f] is on the last cut
+    assert K.mem((0, 1)) == Degree(0, 0)  # f is off [H, H]
+    runs.clear()
+    assert_same_set(cif_sum(A, A), quadratic_cif_sum(A, A))
+    assert runs == ["_sum_component"] * 2
+
+
+def same_phase_table(alg, rng):
+    """A random table whose degrees have w = r on both sides."""
+    palette = []
+    for _ in range(6):
+        mr = rng.randint(0, 12)
+        nr = rng.randint(0, 12 - mr)
+        palette.append(cif_degree(*(Fraction(v, 12) for v in (mr, mr, nr, nr))))
+    return make_cifset(alg, [(x, rng.choice(palette)) for x in space_vectors(alg) if any(x)], EMPTY)
+
+
+def test_kernel_runs_once_per_distinct_level_split(H, monkeypatch):
+    """A generated subspace pair splits its four components alike, two
+    random tables split each apart, and degrees with w = r pair mem r
+    with mem w and non r with non w."""
+    rng = random.Random(16)
+    cases = [
+        (gen_pair(make_config(16, H), kind="subspace"), 1),
+        ((random_table(H, rng), random_table(H, rng)), 4),
+        ((same_phase_table(H, rng), same_phase_table(H, rng)), 2),
+    ]
+    runs = count_kernel_runs(monkeypatch)
+    for (A, B), want in cases:
+        for operation in (bracket_product, cif_sum):
+            runs.clear()
+            operation(A, B)
+            assert len(runs) == want, (operation.__name__, want)
+
+
+def coinciding_pair(alg, rng):
+    """Two tables over four-degree palettes whose components partly share
+    their level splits, one rule for the pair: mem w is drawn, mem r
+    halved (mem r's split) or (1 + mem r) / 2 (mem r's levels, but mem r
+    0 is the off value and its image is not); non r is drawn or 1 - mem r
+    (mem r's split, mirrored); non w is drawn, (1 + non r) / 2 or non r
+    halved."""
+    g = 12
+    mem_w = rng.choice((None, lambda r: r / 2, lambda r: (1 + r) / 2))
+    non_r = rng.choice((None, lambda r: 1 - r))
+    non_w = rng.choice((None, lambda n: (1 + n) / 2, lambda n: n / 2))
+
+    def drawn(top=g):
+        return Fraction(rng.randint(0, top), g)
+
+    def table():
+        palette = []
+        for _ in range(4):
+            mr = drawn()
+            nr = non_r(mr) if non_r else drawn(g - int(mr * g))
+            mw = mem_w(mr) if mem_w else drawn()
+            nw = non_w(nr) if non_w else drawn()
+            palette.append(cif_degree(mr, mw, nr, nw))
+        return make_cifset(alg, [(x, rng.choice(palette)) for x in space_vectors(alg) if any(x)], EMPTY)
+
+    return table(), table()
+
+
+def test_partly_coinciding_components_match_references(H, L3, monkeypatch):
+    """On 50 H pairs and 20 L3 pairs whose components partly share their
+    splits, the shared columns give the pairwise bracket and sum and the
+    coset oracle's bracket; some operations share and some do not."""
+    runs = count_kernel_runs(monkeypatch)
+    seen = set()
+    for alg, n in ((H, 50), (L3, 20)):
+        rng = random.Random(alg.dim)
+        for _ in range(n):
+            A, B = coinciding_pair(alg, rng)
+            runs.clear()
+            K = bracket_product(A, B)
+            seen.add(len(runs))
+            assert_same_set(K, quadratic_bracket_product(A, B))
+            assert first_difference(K, bracket_product_oracle(A, B)) is None
+            runs.clear()
+            assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
+            seen.add(len(runs))
+    assert {1, 2, 3, 4} <= seen

@@ -19,7 +19,8 @@ from ciflie import (
 )
 from ciflie.superalgebra import MAX_CARRIER, SpanBuilder, SubspaceBasis
 
-from oracles import brute_axiom_failures, brute_map_report
+from helpers import rebind_everywhere
+from oracles import basis_vector_validate_superalgebra, brute_axiom_failures, brute_map_report
 
 
 def test_prime_field_rejects_nonprime():
@@ -304,6 +305,37 @@ def test_validators_agree_with_brute_force_on_random_tables():
         seen |= {(axiom, failed == {axiom}) for axiom in failed}
     # every verdict was reached, and each axiom failed alone at least once
     assert len(seen) == 6 + 3 * 2
+
+
+def test_jacobi_from_table_cells_matches_basis_vector_reference(monkeypatch):
+    """The validator reads Jacobi's terms as combinations of table cells
+    and skips triples whose three cells are zero; on seeded random
+    tables of dims 1-4 over F_2, F_3 and F_5 its failures, witnesses
+    included, are the basis-vector reading's, and it evaluates no
+    bracket.  Valid tables and every axiom's failure are seen."""
+    rng = random.Random(16)
+    algebras = [
+        _random_algebra(rng, p, dim) for p in (2, 3, 5) for dim in (1, 2, 3, 4) for _ in range(25)
+    ]
+    # central extensions: every bracket lands on the central b0, so Jacobi
+    # holds with nonzero cells
+    for p in (2, 3, 5):
+        for dim in (2, 3, 4):
+            parity = (0,) + tuple(rng.randrange(2) for _ in range(dim - 1))
+            pairs = {
+                (i, j): (rng.randrange(p),) + (0,) * (dim - 1)
+                for i, j in itertools.combinations_with_replacement(range(1, dim), 2)
+                if parity[i] == parity[j]
+            }
+            algebras.append(superalgebra_from_pairs(PrimeField(p), parity, pairs))
+    references = [basis_vector_validate_superalgebra(alg) for alg in algebras]
+    rebind_everywhere(bracket_eval, None, monkeypatch.setattr)
+    seen = set()
+    for alg, want in zip(algebras, references):
+        got = validate_superalgebra(alg)
+        assert got.failures == want.failures, alg
+        seen |= {f.split(":")[0] for f in got.failures} | {got.ok}
+    assert seen == {True, False, "grading", "super skew-symmetry", "graded Jacobi"}
 
 
 ZERO_2 = ((0, 0), (0, 0))
