@@ -23,7 +23,7 @@ bracket evaluations per component.  A component is fixed by its family
 of cuts (Zadeh's resolution identity) and the sweep reads t as a label
 only.  The ranks are dense over the values taken, so two components that
 cut A and B into the same levels, with rank 0 in both or in neither,
-carry the same labels too: ``cifset.shared_columns`` sweeps once for
+carry the same labels too: ``cifset.per_split`` sweeps once for
 both.  On homogeneous pairs the degree values form a chain and the
 componentwise reading is the joint amplitude-phase ladder; otherwise the
 result carries a note.  Whether the meets (joins) of the values form a
@@ -55,8 +55,8 @@ from .cifset import (
     component_extension,
     from_columns,
     is_z2_graded,
+    per_split,
     rank_encode,
-    shared_columns,
 )
 from .degrees import CIFDegree, Degree
 from .superalgebra import (
@@ -145,7 +145,7 @@ def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
     chain.  A vector enters the cut of its value's cap, the largest
     achievable value below it (dually the smallest above it)."""
     alg = _same_space(A, B)
-    scales, _, groups = rank_encode(A, B)
+    scales, groups = rank_encode(A, B)
     i = 0 if side == "mem" else 2
     chain, caps = _achievable(*groups, i)
     if not chain:
@@ -199,8 +199,8 @@ def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:
     so it picks up the top threshold, which is the pin.
     """
     alg = _same_space(A, B)
-    scales, _, groups = rank_encode(A, B)
-    columns = shared_columns(_component, alg, groups)
+    scales, groups = rank_encode(A, B)
+    columns = per_split(_component, alg, groups)
     notes = ()
     if not (_achievable(*groups, 0)[0] and _achievable(*groups, 2)[0]):
         notes = (

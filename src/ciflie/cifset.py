@@ -12,12 +12,12 @@ component c has upper cuts {x : c(x) >= t}, swept in descending t; a
 non-membership component has lower cuts {x : c(x) <= t}, swept in
 ascending t.  The thresholds are the values the inputs take, ranked
 once per operation (``rank_encode``): sweeps, caps and row keys work on
-int ranks, and each distinct result row is decoded once.  The sum and
-the bracket product run their kernel once per distinct level split
-(``shared_columns``): a component is fixed by its cuts, and two
-components with the same levels, rank 0 in both or in neither, have the
-same ranks.  Every result equals its pairwise definition, for these
-reasons:
+int ranks, and each distinct result row is decoded once.  The sum, the
+bracket product and the subspace and ideal predicates run their kernel
+once per distinct level split (``per_split``): a component is fixed by
+its cuts, and two components with the same levels, rank 0 in both or in
+neither, have the same ranks.  Every result equals its pairwise
+definition, for these reasons:
 
 * min(c(a), c(b)) >= t exactly when c(a) >= t and c(b) >= t, and
   dually max(c(a), c(b)) <= t exactly when both are <= t.  So the cut
@@ -32,6 +32,7 @@ reasons:
 * Cut-ideal criterion: a CIF subspace absorbs the bracket exactly when
   every cut U satisfies [u, v] in U and [v, u] in U for u in a basis of
   U and v in a basis of V.  By bilinearity that covers all of [U, V].
+  The test reads membership of U as the set of vectors swept so far.
 
 A failing predicate rescans its pairs in carrier order only to name the
 first witness, so its report reads as the pairwise definition's.
@@ -182,10 +183,9 @@ def pair_homogeneous(A: CIFSet, B: CIFSet) -> Report:
     clashes, for the first witness.
     """
     _same_space(A, B)
-    _, key_of, groups = rank_encode(A, B)
-    bad = _clashing_keys(*groups)
+    _, groups = rank_encode(A, B)
     vectors = space_vectors(A.space)
-    for x in [x for x in vectors if bad and key_of[A.table[x]] in bad]:
+    for x in sorted(x for k in _clashing_keys(*groups) for x in groups[0][k]):
         dx = A.table[x]
         for y in vectors:
             dy = B.table[y]
@@ -206,7 +206,7 @@ COMPONENTS = (
 )
 
 
-def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], dict, list[dict]]:
+def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], list[dict]]:
     """Rank-encode the degrees that the given sets take, for one operation.
 
     Per component, the distinct values and the off value are keyed by
@@ -216,9 +216,8 @@ def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], dict, list[dict]]:
     pair of values they tell apart, and an exact Fraction comparison
     breaks only float ties.  Values are ranked so that a better value (a
     larger membership, a smaller non-membership) has a higher rank and
-    the off value has rank 0.  Returns the four scales (rank -> value),
-    each distinct degree's rank key (its four ranks), and per set its
-    vectors grouped by rank key.
+    the off value has rank 0.  Returns the four scales (rank -> value)
+    and per set its vectors grouped by rank key, their degree's ranks.
     """
     by_degree = []
     for S in sets:
@@ -237,7 +236,7 @@ def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], dict, list[dict]]:
         scales.append([distinct[k] for k in order])
         ranks.append([rank[k] for k in pairs])
     key_of = dict(zip(degrees, zip(*ranks)))
-    return scales, key_of, [{key_of[d]: xs for d, xs in g.items()} for g in by_degree]
+    return scales, [{key_of[d]: xs for d, xs in g.items()} for g in by_degree]
 
 
 def rank_steps(c: int, *groups: dict):
@@ -251,35 +250,42 @@ def rank_steps(c: int, *groups: dict):
         yield (t, *levels[t])
 
 
-def shared_columns(kernel, alg: Superalgebra, groups: list[dict]) -> list[list[int]]:
-    """The four columns ``kernel(alg, rank_steps(c, *groups))``, with the
+def per_split(kernel, alg: Superalgebra, groups: list[dict]) -> list:
+    """The four results ``kernel(alg, rank_steps(c, *groups))``, with the
     kernel run once per distinct level split.  A component's split is
     the rank it gives each group key.  The ranks are dense over the
     values the sets take and the off value, so two components that cut
     the sets into the same levels, with the last at rank 0 in both or in
-    neither, split alike: their steps, and so their columns, are equal."""
-    runs: dict[tuple, list[int]] = {}
-    columns = []
+    neither, split alike: their steps, and so their results, are equal."""
+    runs: dict[tuple, object] = {}
+    results = []
     for c in range(len(COMPONENTS)):
         # via a list: tuple(generator) resizes as it grows, fragmenting the heap
         split = tuple([key[c] for g in groups for key in g])
         if split not in runs:
             runs[split] = kernel(alg, rank_steps(c, *groups))
-        columns.append(runs[split])
-    return columns
+        results.append(runs[split])
+    return results
 
 
-def _cut_sweep(alg: Superalgebra, groups: dict):
-    """Yield (c, t, gained, is_subspace) per component c and rank t, best
-    first: the basis vectors the cut gains at t, and whether the cut is
-    a subspace (|cut| = p^rank)."""
-    for c in range(len(COMPONENTS)):
-        span = SpanBuilder(alg.field, alg.dim)
-        size = 0
-        for t, xs in rank_steps(c, groups):
-            gained = [x for x in xs if span.add(x)]
-            size += len(xs)
-            yield c, t, gained, size == alg.field.p ** span.rank
+def _cut_clauses(alg: Superalgebra, steps) -> str | None:
+    """The first clause broken by a component's cuts, each the set of the
+    vectors swept so far: "subspace" when a cut U has |U| != p^rank U,
+    else "bracket" when a basis vector x has [x, e] or [e, x] off the
+    cut it enters for a carrier basis vector e, else None."""
+    basis = [alg.basis(j) for j in range(alg.dim)]
+    span = SpanBuilder(alg.field, alg.dim)
+    cut: set[Vector] = set()
+    absorbs = True
+    for _, xs in steps:
+        cut.update(xs)
+        gained = [x for x in xs if span.add(x)]
+        if len(cut) != alg.field.p ** span.rank:
+            return "subspace"
+        absorbs = absorbs and all(
+            {bracket_eval(alg, x, e), bracket_eval(alg, e, x)} <= cut for x in gained for e in basis
+        )
+    return None if absorbs else "bracket"
 
 
 def is_cif_subspace(A: CIFSet) -> Report:
@@ -287,10 +293,9 @@ def is_cif_subspace(A: CIFSet) -> Report:
 
     Decided by the cut criterion; a failure is rescanned for its witness.
     """
-    _, _, (groups,) = rank_encode(A)
-    if all(is_subspace for *_, is_subspace in _cut_sweep(A.space, groups)):
-        return Report(True)
-    return _subspace_witness(A)
+    if "subspace" in per_split(_cut_clauses, A.space, rank_encode(A)[1]):
+        return _subspace_witness(A)
+    return Report(True)
 
 
 def _subspace_witness(A: CIFSet) -> Report:
@@ -337,28 +342,18 @@ def is_cif_ideal(A: CIFSet) -> Report:
     """Graded CIF subspace absorbing the bracket: the degree of [x, y]
     dominates the join of the degrees of x and y.
 
-    One sweep decides the subspace clause by the cut criterion and the
-    bracket clause by the cut-ideal criterion: a basis vector is checked
-    at the cut it enters, since the later cuts contain that one.  A
-    failing clause is rescanned for its witness.
+    One sweep per level split decides the subspace clause by the cut
+    criterion and the bracket clause by the cut-ideal criterion: a basis
+    vector is checked at the cut it enters, since the later cuts contain
+    that one.  A failing clause is rescanned for its witness.
     """
-    alg = A.space
-    basis = [alg.basis(j) for j in range(alg.dim)]
-    _, key_of, (groups,) = rank_encode(A)
-    absorbs = True
-    for c, t, gained, is_subspace in _cut_sweep(alg, groups):
-        if not is_subspace:
-            return Report(False, (f"subspace clause: {_subspace_witness(A).witness}",))
-        absorbs = absorbs and all(
-            key_of[A.table[g]][c] >= t
-            for x in gained
-            for e in basis
-            for g in (bracket_eval(alg, x, e), bracket_eval(alg, e, x))
-        )
+    clauses = per_split(_cut_clauses, A.space, rank_encode(A)[1])
+    if "subspace" in clauses:
+        return Report(False, (f"subspace clause: {_subspace_witness(A).witness}",))
     graded = is_z2_graded(A)
     if not graded:
         return Report(False, (f"grading clause: {graded.witness}",))
-    return Report(True) if absorbs else _bracket_clause_witness(A)
+    return _bracket_clause_witness(A) if "bracket" in clauses else Report(True)
 
 
 def _bracket_clause_witness(A: CIFSet) -> Report:
@@ -405,8 +400,8 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
     Each component is read off the sumsets of the cuts.
     """
     alg = _same_space(A, B)
-    scales, _, groups = rank_encode(A, B)
-    columns = shared_columns(_sum_component, alg, groups)
+    scales, groups = rank_encode(A, B)
+    columns = per_split(_sum_component, alg, groups)
     notes = ()
     if _clashing_keys(*groups):
         notes = ("sum of a non-homogeneous pair: componentwise reading applied",)
@@ -509,7 +504,7 @@ def image(m: GradedMap, A: CIFSet) -> CIFSet:
     get EMPTY."""
     if A.space != m.source:
         raise ValueError("set does not live on the map's source")
-    scales, _, (groups,) = rank_encode(A)
+    scales, (groups,) = rank_encode(A)
     best: dict[Vector, tuple] = {}
     for key, xs in groups.items():
         for y in {apply_map(m, x) for x in xs}:

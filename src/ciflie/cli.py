@@ -205,9 +205,27 @@ _BINARY_OPS = {
     "bracket": lambda A, B: bracket_product(A, B),
 }
 
+# The operations that read each option; given to any other, it is a usage error.
+_READERS = {
+    "with_name": ("--with", "homogeneous", "direct-sum"),
+    "right": ("--right", "sum", "intersection", "bracket"),
+    "alpha": ("--alpha", "scalar"),
+    "map_name": ("--map", "image", "preimage"),
+    "oracle": ("--oracle", "bracket"),
+}
+
+
+def _refuse_unread(args, op: str) -> None:
+    for dest, (flag, *ops) in _READERS.items():
+        value = vars(args).get(dest)  # --alpha 0 is given, so unset is tested by identity
+        if op not in ops and value is not None and value is not False:
+            listing = ", ".join(ops[:-1]) + " and " * (len(ops) > 1) + ops[-1]
+            raise UsageError(f"{flag} applies to {listing} only")
+
 
 def _cmd_check(args) -> int:
     pred = args.predicate
+    _refuse_unread(args, pred)
     judged = f"map {args.name}" if pred == "anti-hom" else None
     ws, _ = _load_valid(args.file, judged)
     if pred == "anti-hom":
@@ -219,10 +237,7 @@ def _cmd_check(args) -> int:
             print(failure, file=sys.stderr)
         return EXIT_OK if rep.ok else EXIT_CHECK
     A = _require_set(ws, args.name)
-    if pred in ("homogeneous", "direct-sum") and args.with_name:
-        B = _require_set(ws, args.with_name)
-    else:
-        B = None
+    B = _require_set(ws, args.with_name) if args.with_name else None
     if pred == "direct-sum":
         if B is None:
             raise UsageError("direct-sum needs --with")
@@ -242,8 +257,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_compute(args) -> int:
     op = args.operation
-    if args.oracle and op != "bracket":
-        raise UsageError("--oracle applies to bracket only")
+    _refuse_unread(args, op)
     ws, data = _load_valid(args.file)
     A = _require_set(ws, args.left)
     if op in _BINARY_OPS:

@@ -461,6 +461,37 @@ def test_oracle_on_another_operation_is_a_usage_error(spec_file, capsys, argv):
     assert captured.err == "usage error: --oracle applies to bracket only\n"
 
 
+READERS = {
+    "--with": "homogeneous and direct-sum",
+    "--right": "sum, intersection and bracket",
+    "--alpha": "scalar",
+    "--map": "image and preimage",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("check subspace --name A --with ZZ", "--with"),
+        ("check anti-hom --name phi --with B", "--with"),
+        ("compute scalar --left A --alpha 2 --right B --map q", "--right"),
+        ("compute image --left A --map phi --right B", "--right"),
+        ("compute sum --left A --right B --alpha 2 --format json", "--alpha"),
+        ("compute bracket --left A --right B --alpha 0", "--alpha"),
+        ("compute scalar --left A --alpha 1 --map q", "--map"),
+        ("compute intersection --left A --right B --map phi", "--map"),
+    ],
+)
+def test_an_option_the_operation_never_reads_is_a_usage_error(spec_file, capsys, argv, flag):
+    """Refused before the file is read, whether or not the option names
+    anything in it; --alpha 0 counts as given."""
+    command, operation, *rest = argv.split()
+    assert run_cli([command, operation, spec_file, *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {flag} applies to {READERS[flag]} only\n"
+
+
 def test_check_anti_hom_validates_the_judged_map_once(spec_file, capsys, monkeypatch):
     import ciflie.cli as cli
 

@@ -9,6 +9,7 @@ rank encoding and is checked against ``oracles.fiber_image``.
 
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -211,7 +212,7 @@ def test_achievable_values_are_the_pairwise_meets(H, L3, L5):
         for side, combine in (("mem", deg_meet), ("non", deg_join)):
             left, right = ({getattr(S.table[x], side) for x in space_vectors(S.space)} for S in (A, B))
             combined = {combine(u, v) for u in left for v in right}
-            scales, _, groups = rank_encode(A, B)
+            scales, groups = rank_encode(A, B)
             i = 0 if side == "mem" else 2
             chain, caps = bracket_module._achievable(*groups, i)
             r, w = scales[i : i + 2]
@@ -475,7 +476,7 @@ def test_rank_encode_stays_light_on_long_distinct_denominators(L5, tmp_path, cap
     A = _long_denominator_set(L5, random.Random(12))
     tracemalloc.start()
     try:
-        scales, key_of, _ = rank_encode(A)
+        scales, (groups,) = rank_encode(A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +485,9 @@ def test_rank_encode_stays_light_on_long_distinct_denominators(L5, tmp_path, cap
     for c, (side, attr, descending, off) in enumerate(COMPONENTS):
         values = {getattr(getattr(d, side), attr) for d in degrees}
         assert scales[c] == sorted(values | {off}, reverse=not descending)
-        assert all(scales[c][key_of[d][c]] == getattr(getattr(d, side), attr) for d in degrees)
+        assert all(
+            scales[c][key[c]] == getattr(getattr(A.table[x], side), attr) for key, xs in groups.items() for x in xs
+        )
     assert len(scales[0]) == L5.size + 1  # 242 amplitudes, the off value 0 and the pin's 1
     path = tmp_path / "long.spec"
     path.write_text(serialize(Workspace(L5.field, {"L": L5}, {"A": WorkspaceSet("L", EMPTY, A)}, {})))
@@ -496,9 +499,14 @@ def test_rank_encode_stays_light_on_long_distinct_denominators(L5, tmp_path, cap
 
 def count_kernel_runs(monkeypatch) -> list[str]:
     """Record the name of each level-cut kernel run by the bracket
-    product (``_component``) and the sum (``_sum_component``)."""
+    product (``_component``), the sum (``_sum_component``) and the
+    subspace and ideal predicates (``_cut_clauses``)."""
     runs = []
-    for module, name in ((bracket_module, "_component"), (cifset_module, "_sum_component")):
+    for module, name in (
+        (bracket_module, "_component"),
+        (cifset_module, "_sum_component"),
+        (cifset_module, "_cut_clauses"),
+    ):
         kernel = getattr(module, name)
 
         def counted(alg, steps, kernel=kernel, name=name):
@@ -539,7 +547,8 @@ def same_phase_table(alg, rng):
 def test_kernel_runs_once_per_distinct_level_split(H, monkeypatch):
     """A generated subspace pair splits its four components alike, two
     random tables split each apart, and degrees with w = r pair mem r
-    with mem w and non r with non w."""
+    with mem w and non r with non w.  The predicates, given the first
+    set, split it the same way."""
     rng = random.Random(16)
     cases = [
         (gen_pair(make_config(16, H), kind="subspace"), 1),
@@ -548,10 +557,89 @@ def test_kernel_runs_once_per_distinct_level_split(H, monkeypatch):
     ]
     runs = count_kernel_runs(monkeypatch)
     for (A, B), want in cases:
-        for operation in (bracket_product, cif_sum):
+        for operation, args in (
+            (bracket_product, (A, B)),
+            (cif_sum, (A, B)),
+            (is_cif_subspace, (A,)),
+            (is_cif_ideal, (A,)),
+        ):
             runs.clear()
-            operation(A, B)
+            operation(*args)
             assert len(runs) == want, (operation.__name__, want)
+
+
+def with_phase(S, c, phase):
+    """S with phase component c (1: mem w, 3: non w) mapped through
+    ``phase``, a function of the vector and its old value."""
+    side = COMPONENTS[c][0]
+    table = {}
+    for x, d in S.table.items():
+        part = getattr(d, side)
+        table[x] = replace(d, **{side: replace(part, w=phase(x, part.w))})
+    return CIFSet(S.space, table)
+
+
+def coarsened(S, c, rng):
+    """S with phase component c coarsened: one of its values, drawn at
+    random, takes the next better value, so two levels merge.  The
+    relabelling is monotone and keeps the pin's value, the best, so
+    every cut of the result is a cut of S and S's clauses still hold."""
+    side, _, descending, _ = COMPONENTS[c]
+    values = sorted({getattr(d, side).w for d in S.table.values()}, reverse=not descending)
+    if len(values) < 2:
+        return S
+    i = rng.randrange(len(values) - 1)
+    return with_phase(S, c, lambda x, w: values[i + 1] if w == values[i] else w)
+
+
+def raised(S, c, rng):
+    """S with one nonzero vector's phase in component c raised to the
+    pin's, the best value: the top cut of c gains that vector alone, so
+    it is no longer a subspace (3^k + 1 is no power of 3), and no other
+    component changes."""
+    zero = S.space.zero()
+    side = COMPONENTS[c][0]
+    best = getattr(S.table[zero], side).w
+    lower = [x for x, d in S.table.items() if getattr(d, side).w != best]
+    if not lower:
+        return None
+    y = rng.choice(sorted(lower))
+    return with_phase(S, c, lambda x, w: best if x == y else w)
+
+
+def test_predicates_on_coarsened_phases_match_pairwise_definitions(H, L3, L5, monkeypatch):
+    """Generated subspaces, graded subspaces and ideals on H, L3 and L5
+    with one phase component coarsened stay what they were, but that
+    component now splits apart from the others.  Raising one vector's
+    phase there breaks that split alone.  The predicates give the
+    pairwise reports, witness included; the draws run two splits and
+    fail every clause of the ideal check."""
+    runs = count_kernel_runs(monkeypatch)
+    cases = [(alg, seed, kind) for alg in (H, L3) for seed in range(6) for kind in ("subspace", "graded", "ideal")]
+    cases.append((L5, 0, "ideal"))
+    splits, clauses = set(), set()
+    for alg, seed, kind in cases:
+        rng = random.Random(seed)
+        for S in gen_pair(make_config(seed, alg), kind=kind):
+            c = rng.choice((1, 3))
+            C = coarsened(S, c, rng)
+            R = raised(C, c, rng)
+            assert is_cif_subspace(C) and (kind != "ideal" or is_cif_ideal(C))
+            for T in (C, R) if R is not None else (C,):
+                runs.clear()
+                assert is_cif_subspace(T) == quadratic_is_cif_subspace(T)
+                splits.add(len(runs))
+                runs.clear()
+                ideal = is_cif_ideal(T)
+                assert ideal == quadratic_is_cif_ideal(T)
+                splits.add(len(runs))
+                if not ideal:
+                    clauses.add(ideal.witness.split()[0])
+            if R is not None:
+                verdicts = cifset_module.per_split(cifset_module._cut_clauses, alg, rank_encode(R)[1])
+                assert [i for i, v in enumerate(verdicts) if v == "subspace"] == [c]
+    assert 2 in splits
+    assert clauses == {"subspace", "grading", "bracket"}
 
 
 def coinciding_pair(alg, rng):

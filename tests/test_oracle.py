@@ -200,7 +200,7 @@ def _reaches_full_carrier(A, B) -> bool:
     """Whether some component's cut span becomes the whole carrier, the
     exit at which the ladder has valued every vector."""
     alg = A.space
-    _, _, groups = rank_encode(A, B)
+    _, groups = rank_encode(A, B)
     return any(
         span.rank == alg.dim
         for c in range(4)
