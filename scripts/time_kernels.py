@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Time the sum and the bracket product across carrier sizes.
+
+Prints one sorted-key JSON line per (algebra, input kind, operation)
+with the best-of-N wall time of one call and a digest of its result
+table, so two trees can be compared on the same inputs.  The algebras
+are H (|V| = 9), L3 (27), L5 (243), L4 (F_5^4, 625) and F5^5 (the L5
+bracket table over F_5, 3125).  The input kinds are a generated pair of
+CIF subspaces, two random tables over a 24-degree palette, and two
+random tables that give every nonzero vector its own degree.
+
+    PYTHONPATH=src python3 scripts/time_kernels.py --algebras H,L5 --repeat 5
+"""
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+import time
+from fractions import Fraction
+
+from ciflie import (
+    EMPTY,
+    PrimeField,
+    bracket_product,
+    cif_degree,
+    cif_sum,
+    gen_pair,
+    make_cifset,
+    make_config,
+    space_vectors,
+    superalgebra_from_pairs,
+)
+from ciflie.cifset import table_fingerprint
+
+OPERATIONS = {"cif_sum": cif_sum, "bracket_product": bracket_product}
+KINDS = ("subspace", "palette", "per-vector")
+PALETTE = 24
+GRID = 60
+
+
+def algebras() -> dict:
+    F3, F5 = PrimeField(3), PrimeField(5)
+    e3, e4, e5 = (1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0, 0)
+    l5_pairs = {(1, 1): e5, (1, 2): e5, (2, 2): (2, 0, 0, 0, 0), (4, 4): e5}
+    return {
+        "H": superalgebra_from_pairs(F3, (0, 1), {(1, 1): (1, 0)}),
+        "L3": superalgebra_from_pairs(F3, (0, 1, 1), {(1, 1): e3, (1, 2): e3, (2, 2): (2, 0, 0)}),
+        "L5": superalgebra_from_pairs(F3, (0, 1, 1, 0, 1), l5_pairs),
+        "L4": superalgebra_from_pairs(F5, (0, 1, 1, 0), {(1, 1): e4, (1, 2): e4, (2, 2): (2, 0, 0, 0)}),
+        "F5^5": superalgebra_from_pairs(F5, (0, 1, 1, 0, 1), l5_pairs),
+    }
+
+
+def random_degree(rng: random.Random, grid: int):
+    mr = rng.randint(0, grid)
+    nr = rng.randint(0, grid - mr)
+    return cif_degree(
+        Fraction(mr, grid), Fraction(rng.randint(0, grid), grid),
+        Fraction(nr, grid), Fraction(rng.randint(0, grid), grid),
+    )
+
+
+def random_table(alg, rng: random.Random, per_vector: bool):
+    """Every nonzero vector takes a palette degree, or its own degree on a
+    fine lattice (distinct with high probability)."""
+    vectors = [x for x in space_vectors(alg) if x != alg.zero()]
+    if per_vector:
+        degrees = [random_degree(rng, 10**6) for _ in vectors]
+    else:
+        palette = [random_degree(rng, GRID) for _ in range(PALETTE)]
+        degrees = [rng.choice(palette) for _ in vectors]
+    return make_cifset(alg, zip(vectors, degrees), EMPTY)
+
+
+def inputs(name: str, alg, kind: str):
+    if kind == "subspace":
+        return gen_pair(make_config(0, alg), kind="subspace")
+    rng = random.Random(f"{name}:{kind}:0")
+    return tuple(random_table(alg, rng, kind == "per-vector") for _ in range(2))
+
+
+def best_of(repeat: int, op, A, B):
+    best, result = float("inf"), None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = op(A, B)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--algebras", default="H,L3,L5,L4,F5^5", help="comma-separated subset of H,L3,L5,L4,F5^5")
+    parser.add_argument("--repeat", type=int, default=3, help="calls per operation; the best is reported")
+    args = parser.parse_args()
+    known = algebras()
+    names = args.algebras.split(",")
+    unknown = [n for n in names if n not in known]
+    if unknown or args.repeat < 1:
+        parser.error(f"unknown algebra {unknown[0]}" if unknown else "--repeat must be at least 1")
+    for name in names:
+        alg = known[name]
+        for kind in KINDS:
+            A, B = inputs(name, alg, kind)
+            for op_name, op in OPERATIONS.items():
+                seconds, result = best_of(args.repeat, op, A, B)
+                digest = hashlib.sha256(table_fingerprint(result).encode()).hexdigest()
+                print(json.dumps({
+                    "algebra": name, "best_s": round(seconds, 6), "digest": digest[:16],
+                    "input": kind, "operation": op_name, "repeat": args.repeat, "size": alg.size,
+                }, sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

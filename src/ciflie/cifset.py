@@ -24,6 +24,9 @@ definition, for these reasons:
   of a sum is the sumset of the cuts, (A + B)_t = A_t + B_t.
 * Pigeonhole: once |A_t| + |B_t| > |V|, the sets A_t and x - B_t meet
   for every x, so A_t + B_t is the whole carrier and the sweep stops.
+* A set of vectors is a bitset over the carrier.  Translating it by a
+  takes two masked shifts per nonzero coordinate of a, so a sumset grows
+  by one translate per new vector, not by one addition per pair.
 * A is a CIF subspace exactly when every cut of every component is a
   linear subspace.  Over F_p a nonempty set closed under + is closed
   under scalars too, and the pairwise clauses say precisely that each
@@ -43,7 +46,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, product
 from typing import Iterable, Mapping
 
 from .degrees import (
@@ -65,7 +69,6 @@ from .superalgebra import (
     bracket_eval,
     graded_split,
     space_vectors,
-    vec_add,
     vec_scale,
 )
 
@@ -397,7 +400,8 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
     "no decomposition" branch of the definition never fires here.  A
     non-homogeneous input pair is accepted; the result then carries a
     provenance note recording that the componentwise reading was used.
-    Each component is read off the sumsets of the cuts.
+    Each component is read off the sumsets of the cuts, grown as bitsets
+    by translating one side's cut by each vector new in the other.
     """
     alg = _same_space(A, B)
     scales, groups = rank_encode(A, B)
@@ -443,29 +447,61 @@ def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...], scale
 
 def _sum_component(alg: Superalgebra, steps) -> list:
     """One component of A + B as ranks, carrier order: each x takes the
-    first rank t along ``steps`` whose sumset A_t + B_t holds it.  The
-    sumset grows by the pairs that involve a vector new at t."""
-    p = alg.field.p
-    vectors = space_vectors(alg)
-    value: dict[Vector, int] = {}
-    cut_a: list[Vector] = []
-    cut_b: list[Vector] = []
+    first rank t along ``steps`` whose sumset A_t + B_t holds it.  Cuts
+    and sumsets are carrier bitsets; the sumset grows by B_t translated
+    by each vector new in A and by A's earlier cut translated by each
+    vector new in B."""
+    index, coords = _carrier_bits(alg.field.p, alg.dim)
+    full = (1 << len(index)) - 1
+    column = [0] * len(index)
+    cut_a = cut_b = reached = members = 0
     for t, new_a, new_b in steps:
-        if len(cut_a) + len(new_a) + len(cut_b) + len(new_b) > len(vectors):
-            for x in vectors:
-                value.setdefault(x, t)
-            break
-        cut_b += new_b
-        for a in new_a:
-            for b in cut_b:
-                value.setdefault(vec_add(p, a, b), t)
-        for a in cut_a:
+        members += len(new_a) + len(new_b)
+        if members > len(index):
+            fresh = full ^ reached
+        else:
+            cut_b |= sum(1 << index[b] for b in new_b)
+            grown = reached
+            for a in new_a:
+                grown |= _translate(cut_b, a, coords)
             for b in new_b:
-                value.setdefault(vec_add(p, a, b), t)
-        cut_a += new_a
-        if len(value) == len(vectors):
+                grown |= _translate(cut_a, b, coords)
+            cut_a |= sum(1 << index[a] for a in new_a)
+            fresh = grown ^ reached
+        reached |= fresh
+        while fresh:
+            n = fresh.bit_length() - 1
+            column[n] = t
+            fresh ^= 1 << n
+        if reached == full:
             break
-    return [value[x] for x in vectors]
+    return column
+
+
+@cache
+def _carrier_bits(p: int, dim: int) -> tuple[dict[Vector, int], tuple]:
+    """Bit n of a carrier bitset is the n-th vector of ``space_vectors``.
+    Returns each vector's bit, and per coordinate i its stride
+    p^(dim-1-i) and the masks low[c] of the bits whose i-th coordinate
+    is below p - c."""
+    index = {x: n for n, x in enumerate(product(range(p), repeat=dim))}
+    coords = []
+    for i in range(dim):
+        stride = p ** (dim - 1 - i)
+        blocks = sum(1 << j * p * stride for j in range(p**i))
+        coords.append((stride, tuple(((1 << (p - c) * stride) - 1) * blocks for c in range(p))))
+    return index, tuple(coords)
+
+
+def _translate(bits: int, a: Vector, coords: tuple) -> int:
+    """The bitset translated by a: per nonzero coordinate c = a_i, the
+    bits whose coordinate i is below p - c move up c strides and the
+    others wrap down p - c."""
+    for c, (stride, low) in zip(a, coords):
+        if c:
+            keep = bits & low[c]
+            bits = (keep << c * stride) | ((bits ^ keep) >> (len(low) - c) * stride)
+    return bits
 
 
 def intersection(A: CIFSet, B: CIFSet) -> CIFSet:

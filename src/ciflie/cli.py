@@ -10,6 +10,7 @@ to stderr.  Text reports print verdicts as plain PASS or FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -57,7 +58,10 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # argparse keeps no state between parse_args calls, so one parser
+    # serves every run_cli call in a process
     parser = _Parser(prog="ciflie", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -556,3 +556,23 @@ def test_verify_text_lists_the_first_five_failures(spec_file, capsys, monkeypatc
     assert lines[0] == "mylemma-1 on H: FAIL (7 trials, 7 failures)"
     assert len(lines) == 6
     assert all(re.fullmatch(r"  seed \d+: .*sabotaged", line) for line in lines[1:])
+
+
+def test_one_process_runs_several_commands(spec_file, capsys):
+    """The parser is built once per process, and no command's options
+    reach the next one."""
+    assert ciflie.cli.build_parser() is ciflie.cli.build_parser()
+    argv = ["compute", "scalar", spec_file, "--left", "A", "--alpha", "2", "--format", "json"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["args"] == {"left": "A", "alpha": 2}
+    argv = ["compute", "sum", spec_file, "--left", "A", "--right", "B", "--format", "json"]
+    assert run_cli(argv) == 0
+    assert json.loads(capsys.readouterr().out)["args"] == {"left": "A", "right": "B"}
+    assert run_cli(["compute", "sum", spec_file, "--right", "B"]) == 1
+    assert capsys.readouterr().err == "usage error: the following arguments are required: --left\n"
+    assert run_cli(["compute", "sum", spec_file, "--left", "A"]) == 1
+    assert capsys.readouterr().err == "usage error: sum needs --right\n"
+    with pytest.raises(SystemExit) as done:
+        run_cli(["--version"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == f"{ciflie.__version__}\n"

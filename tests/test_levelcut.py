@@ -23,6 +23,7 @@ from ciflie import (
     Degree,
     EMPTY,
     GradedMap,
+    PrimeField,
     SpanBuilder,
     bracket_eval,
     bracket_product,
@@ -43,12 +44,14 @@ from ciflie import (
     run_cli,
     serialize,
     space_vectors,
+    superalgebra_from_pairs,
     trivial_cifset,
     validate_superalgebra,
 )
-from ciflie.cifset import COMPONENTS, _subspace_witness, rank_encode
+from ciflie.cifset import COMPONENTS, _carrier_bits, _subspace_witness, _translate, rank_encode
 from ciflie.generators import gen_pair, gen_random_table, make_config
 from ciflie.specfile import Workspace, WorkspaceSet
+from ciflie.superalgebra import vec_add
 from helpers import chain_table
 from oracles import (
     fiber_image,
@@ -689,3 +692,49 @@ def test_partly_coinciding_components_match_references(H, L3, monkeypatch):
             assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
             seen.add(len(runs))
     assert {1, 2, 3, 4} <= seen
+
+
+def abelian(p, dim):
+    return superalgebra_from_pairs(PrimeField(p), (0,) * (dim - 1) + (1,), {})
+
+
+@pytest.mark.parametrize("p, dim", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 3), (5, 2)])
+def test_translate_is_vector_addition(p, dim):
+    """Every translate of every single vector, and of a random set, is
+    the vector sum.  p = 2 takes the wrap at c = p - 1 on every
+    coordinate, p = 5 shifts by several strides."""
+    index, coords = _carrier_bits(p, dim)
+    vectors = space_vectors(abelian(p, dim))
+    assert list(index.items()) == [(x, n) for n, x in enumerate(vectors)]
+    rng = random.Random(p * 10 + dim)
+    for a in vectors:
+        for x in vectors:
+            assert _translate(1 << index[x], a, coords) == 1 << index[vec_add(p, x, a)]
+        some = rng.sample(vectors, len(vectors) // 2)
+        bits = sum(1 << index[x] for x in some)
+        assert _translate(bits, a, coords) == sum(1 << index[vec_add(p, x, a)] for x in some)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 3), (5, 2)])
+def test_bitset_sum_matches_pairwise_sum_on_abelian_carriers(p, dim):
+    alg = abelian(p, dim)
+    rng = random.Random(p * 10 + dim)
+    for _ in range(40):
+        A, B = random_table(alg, rng), random_table(alg, rng)
+        assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
+
+
+def test_sum_at_the_pigeonhole_bound():
+    """On F_2^3 the plane U = {x : x_0 = 0} has 4 vectors.  U and U have
+    cuts summing to exactly |V| = 8 at the plane's level, and their
+    sumset is U; U and U plus one vector sum to 9 > |V|, and their
+    sumset is the carrier."""
+    alg = abelian(2, 3)
+    level = cif_degree(Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    plane = [x for x in space_vectors(alg) if x[0] == 0]
+    U = make_cifset(alg, [(x, level) for x in plane if any(x)], EMPTY)
+    W = make_cifset(alg, [(x, level) for x in plane + [(1, 0, 0)] if any(x)], EMPTY)
+    for A, B in ((U, U), (U, W), (W, U)):
+        assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
+    assert cif_sum(U, U) == U
+    assert {cif_sum(U, W).table[x] for x in space_vectors(alg) if any(x)} == {level}

@@ -1,5 +1,6 @@
 """The experiment drivers under scripts/ run end to end at a tiny size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,15 @@ def test_oracle_sweep_small():
         "L3: 5 pairs checked, 1 of them random-degree",
     ]
     assert lines[2].startswith("0 mismatches in ")
+
+
+def test_time_kernels_on_h():
+    done = run_script("time_kernels.py", "--algebras", "H", "--repeat", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(row, sort_keys=True) for row in rows]
+    assert [(r["input"], r["operation"]) for r in rows] == [
+        (kind, op) for kind in ("subspace", "palette", "per-vector") for op in ("cif_sum", "bracket_product")
+    ]
+    assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)
