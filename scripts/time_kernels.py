@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Time the sum and the bracket product across carrier sizes.
+"""Time the kernels and the loading steps of a command across carrier sizes.
 
 Prints one sorted-key JSON line per (algebra, input kind, operation)
-with the best-of-N wall time of one call and a digest of its result
-table, so two trees can be compared on the same inputs.  The algebras
-are H (|V| = 9), L3 (27), L5 (243), L4 (F_5^4, 625) and F5^5 (the L5
-bracket table over F_5, 3125).  The input kinds are a generated pair of
-CIF subspaces, two random tables over a 24-degree palette, and two
-random tables that give every nonzero vector its own degree.
+with the best-of-N wall time of one call and a digest of its result, so
+two trees can be compared on the same inputs.  The algebras are H
+(|V| = 9), L3 (27), L5 (243), L4 (F_5^4, 625) and F5^5 (the L5 bracket
+table over F_5, 3125).  The input kinds are a generated pair of CIF
+subspaces, two random tables over a 24-degree palette, and two random
+tables that give every nonzero vector its own degree.  Each kind is
+summed and bracketed.  The steps that every ``ciflie`` command pays
+before its operation follow: ``parse_spec`` of the serialized palette
+and per-vector workspaces (two sets each), ``validate_superalgebra`` of
+the algebra, ``is_cif_ideal`` of a generated ideal, and ``image`` of
+the palette and per-vector tables under a fixed grading-preserving map
+that is neither injective nor surjective.
 
     PYTHONPATH=src python3 scripts/time_kernels.py --algebras H,L5 --repeat 5
 """
@@ -22,17 +28,26 @@ from fractions import Fraction
 
 from ciflie import (
     EMPTY,
+    GradedMap,
     PrimeField,
+    Workspace,
     bracket_product,
     cif_degree,
     cif_sum,
+    gen_cif_ideal,
     gen_pair,
+    image,
+    is_cif_ideal,
     make_cifset,
     make_config,
+    parse_spec,
+    serialize,
     space_vectors,
     superalgebra_from_pairs,
+    validate_superalgebra,
 )
 from ciflie.cifset import table_fingerprint
+from ciflie.specfile import WorkspaceSet
 
 OPERATIONS = {"cif_sum": cif_sum, "bracket_product": bracket_product}
 KINDS = ("subspace", "palette", "per-vector")
@@ -81,11 +96,47 @@ def inputs(name: str, alg, kind: str):
     return tuple(random_table(alg, rng, kind == "per-vector") for _ in range(2))
 
 
-def best_of(repeat: int, op, A, B):
+def spec_text(alg, A, B) -> str:
+    sets = {"A": WorkspaceSet("V", EMPTY, A), "B": WorkspaceSet("V", EMPTY, B)}
+    return serialize(Workspace(alg.field, {"V": alg}, sets, {}))
+
+
+def collapsing_map(alg) -> GradedMap:
+    """Each basis vector but the last goes to the next one of its parity,
+    cyclically, and the last one to zero: grading-preserving, with a
+    nonzero kernel."""
+    rows = []
+    for i, parity in enumerate(alg.parity[:-1]):
+        same = [j for j in range(alg.dim) if alg.parity[j] == parity]
+        target = same[(same.index(i) + 1) % len(same)]
+        rows.append(tuple(int(j == target) for j in range(alg.dim)))
+    return GradedMap(alg, alg, tuple(rows) + ((0,) * alg.dim,))
+
+
+def cases(name: str, alg):
+    """(input kind, operation, call, text of the result) in print order."""
+    tables = {}
+    for kind in KINDS:
+        A, B = tables[kind] = inputs(name, alg, kind)
+        for op_name, op in OPERATIONS.items():
+            yield kind, op_name, lambda op=op, A=A, B=B: op(A, B), table_fingerprint
+    for kind in ("palette", "per-vector"):
+        text = spec_text(alg, *tables[kind])
+        yield kind, "parse_spec", lambda text=text: parse_spec(text), serialize
+    yield "algebra", "validate_superalgebra", lambda: validate_superalgebra(alg), repr
+    ideal = gen_cif_ideal(make_config(0, alg))
+    yield "ideal", "is_cif_ideal", lambda: is_cif_ideal(ideal), repr
+    m = collapsing_map(alg)
+    for kind in ("palette", "per-vector"):
+        A = tables[kind][0]
+        yield kind, "image", lambda A=A: image(m, A), table_fingerprint
+
+
+def best_of(repeat: int, call):
     best, result = float("inf"), None
     for _ in range(repeat):
         start = time.perf_counter()
-        result = op(A, B)
+        result = call()
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -102,15 +153,13 @@ def main() -> int:
         parser.error(f"unknown algebra {unknown[0]}" if unknown else "--repeat must be at least 1")
     for name in names:
         alg = known[name]
-        for kind in KINDS:
-            A, B = inputs(name, alg, kind)
-            for op_name, op in OPERATIONS.items():
-                seconds, result = best_of(args.repeat, op, A, B)
-                digest = hashlib.sha256(table_fingerprint(result).encode()).hexdigest()
-                print(json.dumps({
-                    "algebra": name, "best_s": round(seconds, 6), "digest": digest[:16],
-                    "input": kind, "operation": op_name, "repeat": args.repeat, "size": alg.size,
-                }, sort_keys=True), flush=True)
+        for kind, op_name, call, render in cases(name, alg):
+            seconds, result = best_of(args.repeat, call)
+            digest = hashlib.sha256(render(result).encode()).hexdigest()
+            print(json.dumps({
+                "algebra": name, "best_s": round(seconds, 6), "digest": digest[:16],
+                "input": kind, "operation": op_name, "repeat": args.repeat, "size": alg.size,
+            }, sort_keys=True), flush=True)
     return 0
 
 

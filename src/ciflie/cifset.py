@@ -329,14 +329,29 @@ def is_z2_graded(A: CIFSet) -> Report:
 
     This is the attained form of the direct-sum condition: the component
     extensions vanish off their parity subspaces, so the sup over
-    decompositions collapses to the unique graded split.
+    decompositions collapses to the unique graded split.  It is read on
+    rank keys: ranks rise with the better value on all four components,
+    so the meet of the memberships and the join of the non-memberships
+    both take the lower rank, and x is graded exactly when each of its
+    ranks is the min of its parts' ranks.
     """
-    alg = A.space
-    for x in space_vectors(alg):
-        x0, x1 = graded_split(alg, x)
-        if A.mem(x) != deg_meet(A.mem(x0), A.mem(x1)):
+    return _grading_clause(A.space, rank_encode(A)[1][0])
+
+
+def _grading_clause(alg: Superalgebra, groups: dict) -> Report:
+    """``is_z2_graded`` on A's rank-key groups.  The carrier indices of
+    the even and odd parts are built like the carrier, slowest first."""
+    key_of = {x: key for key, xs in groups.items() for x in xs}
+    keys = [key_of[x] for x in space_vectors(alg)]
+    p = alg.field.p
+    parts = [(0, 0)]
+    for odd in alg.parity:
+        parts = [(e * p + (0 if odd else c), o * p + (c if odd else 0)) for e, o in parts for c in range(p)]
+    for x, key, (e, o) in zip(space_vectors(alg), keys, parts):
+        low = tuple(map(min, keys[e], keys[o]))
+        if key[:2] != low[:2]:
             return Report(False, (f"membership not graded at x={x}",))
-        if A.non(x) != deg_join(A.non(x0), A.non(x1)):
+        if key != low:
             return Report(False, (f"non-membership not graded at x={x}",))
     return Report(True)
 
@@ -350,10 +365,11 @@ def is_cif_ideal(A: CIFSet) -> Report:
     vector is checked at the cut it enters, since the later cuts contain
     that one.  A failing clause is rescanned for its witness.
     """
-    clauses = per_split(_cut_clauses, A.space, rank_encode(A)[1])
+    groups = rank_encode(A)[1]
+    clauses = per_split(_cut_clauses, A.space, groups)
     if "subspace" in clauses:
         return Report(False, (f"subspace clause: {_subspace_witness(A).witness}",))
-    graded = is_z2_graded(A)
+    graded = _grading_clause(A.space, groups[0])
     if not graded:
         return Report(False, (f"grading clause: {graded.witness}",))
     return _bracket_clause_witness(A) if "bracket" in clauses else Report(True)
@@ -537,13 +553,21 @@ def image(m: GradedMap, A: CIFSet) -> CIFSet:
     """Push A forward: per component, the best rank over each fiber (the
     max for the memberships, the min for the non-memberships).  Off the
     image each component takes rank 0, its off value, so those vectors
-    get EMPTY."""
+    get EMPTY.  The carrier is lexicographic, coordinate 0 slowest, so
+    one pass over the matrix rows lists every source vector's image in
+    carrier order: each image so far plus each multiple of the row."""
     if A.space != m.source:
         raise ValueError("set does not live on the map's source")
     scales, (groups,) = rank_encode(A)
+    p = m.source.field.p
+    images = [m.target.zero()]
+    for row in m.matrix:
+        steps = [vec_scale(p, c, row) for c in range(p)]
+        images = [tuple([(a + b) % p for a, b in zip(y, s)]) for y in images for s in steps]
+    index = _carrier_bits(p, m.source.dim)[0]
     best: dict[Vector, tuple] = {}
     for key, xs in groups.items():
-        for y in {apply_map(m, x) for x in xs}:
+        for y in {images[index[x]] for x in xs}:
             best[y] = tuple(map(max, best.get(y, key), key))
     columns = list(zip(*[best.get(y, (0, 0, 0, 0)) for y in space_vectors(m.target)]))
     return from_columns(m.target, columns, (), scales)

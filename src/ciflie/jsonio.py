@@ -51,5 +51,6 @@ def input_digest(data: bytes) -> str:
 
 
 def emit_json(payload: dict) -> str:
-    """Compact, byte-deterministic rendering with a trailing newline."""
-    return json.dumps(payload, separators=(",", ":"), sort_keys=False) + "\n"
+    """Compact, byte-deterministic rendering with a trailing newline.
+    Payloads are trees, so the circular-reference check is skipped."""
+    return json.dumps(payload, separators=(",", ":"), check_circular=False) + "\n"

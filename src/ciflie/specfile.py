@@ -18,9 +18,11 @@ skew-symmetry, and grading and Jacobi are untouched.  Semantic checks
 and carry line numbers.  Algebra axioms and map conditions are not load
 errors; they are what ``validate`` reports.
 
-Degree tokens are coerced and validated once per distinct tuple of
-four: the loader keeps each tuple's CIFDegree, and later lines that
-repeat the tuple share it.  A bad tuple fails at its first line.
+Each parse keeps three memos, so it pays once per distinct token: a
+coordinate token's int mod p, a rational token's Fraction, and a tuple
+of four degree tokens' CIFDegree, shared by the lines that repeat it.
+A memo fills on a token's first line, so a bad token fails there and
+the first error in file order is the one reported.
 """
 
 from __future__ import annotations
@@ -87,15 +89,6 @@ def _parse_rational(token: str, line: int, what: str) -> Fraction:
     return value
 
 
-def _parse_degree4(tokens: list[str], line: int) -> CIFDegree:
-    """Four rationals; the cifset and entry usage checks count them."""
-    vals = [_parse_rational(t, line, "degree component") for t in tokens]
-    try:
-        return CIFDegree(Degree(vals[0], vals[1]), Degree(vals[2], vals[3]))
-    except ValueError as exc:
-        raise SpecError(line, str(exc)) from None
-
-
 def _parse_int(token: str, line: int, what: str) -> int:
     try:
         return int(token)
@@ -111,21 +104,42 @@ def _check_name(token: str, line: int) -> str:
     return token
 
 
+class _Memo(dict):
+    """Token -> value for one parse, filled on first sight by
+    ``parse(token, line)`` with the line being read."""
+
+    def __init__(self, parse) -> None:
+        self.parse, self.line = parse, 0
+
+    def __missing__(self, token: str):
+        value = self[token] = self.parse(token, self.line)
+        return value
+
+
 class _Loader:
     def __init__(self) -> None:
         self.field: PrimeField | None = None
         self.space_decls: dict[str, tuple[int, tuple[int, ...]]] = {}
         self.pairs: dict[str, dict[tuple[int, int], tuple[int, ...]]] = {}
         self.set_decls: dict[str, tuple[str, CIFDegree]] = {}
-        self.entries: dict[str, dict[Vector, CIFDegree]] = {}
+        self.targets: dict[str, tuple[int, dict[Vector, CIFDegree]]] = {}  # set -> (dim, entries)
         self.map_decls: dict[str, tuple[str, str, str, tuple[Vector, ...]]] = {}
+        self.coords: _Memo | None = None  # made by stmt_field, closing over p only (no cycle)
+        self.rationals = _Memo(lambda t, line: _parse_rational(t, line, "degree component"))
         self.degrees: dict[tuple[str, ...], CIFDegree] = {}
 
     def _degree(self, tokens: list[str], line: int) -> CIFDegree:
+        """Four rationals; the cifset and entry usage checks count them."""
         key = tuple(tokens)
         degree = self.degrees.get(key)
         if degree is None:
-            degree = self.degrees[key] = _parse_degree4(tokens, line)
+            self.rationals.line = line
+            mr, mw, nr, nw = map(self.rationals.__getitem__, key)
+            try:
+                degree = CIFDegree(Degree(mr, mw), Degree(nr, nw))
+            except ValueError as exc:
+                raise SpecError(line, str(exc)) from None
+            self.degrees[key] = degree
         return degree
 
     def _need_field(self, line: int) -> PrimeField:
@@ -143,6 +157,7 @@ class _Loader:
             self.field = PrimeField(p)
         except ValueError as exc:
             raise SpecError(line, str(exc)) from None
+        self.coords = _Memo(lambda t, at: _parse_int(t, at, "coordinate") % p)
 
     def stmt_space(self, args: list[str], line: int) -> None:
         field = self._need_field(line)
@@ -205,30 +220,28 @@ class _Loader:
             raise SpecError(line, f"unknown space '{space}'")
         default = self._degree(args[4:], line)
         self.set_decls[name] = (space, default)
-        self.entries[name] = {}
+        self.targets[name] = (self.space_decls[space][0], {})
 
     def stmt_entry(self, args: list[str], line: int) -> None:
-        field = self._need_field(line)
-        if len(args) < 2:
-            raise SpecError(line, "usage: entry NAME v_1 ... v_n deg R W RH WH")
-        name = args[0]
-        if name not in self.set_decls:
-            raise SpecError(line, f"unknown cifset '{name}'")
-        space, _ = self.set_decls[name]
-        dim, _ = self.space_decls[space]
+        target = self.targets.get(args[0]) if len(args) >= 2 else None
+        if target is None:
+            self._need_field(line)
+            if len(args) < 2:
+                raise SpecError(line, "usage: entry NAME v_1 ... v_n deg R W RH WH")
+            raise SpecError(line, f"unknown cifset '{args[0]}'")
+        dim, entries = target
         if len(args) != 1 + dim + 1 + 4 or args[1 + dim] != "deg":
             raise SpecError(line, "usage: entry NAME v_1 ... v_n deg R W RH WH")
-        coords = tuple(
-            _parse_int(c, line, "coordinate") % field.p for c in args[1 : 1 + dim]
-        )
+        self.coords.line = line
+        coords = tuple(map(self.coords.__getitem__, args[1 : 1 + dim]))
         degree = self._degree(args[2 + dim :], line)
-        if coords in self.entries[name]:
+        if coords in entries:
             raise SpecError(line, f"duplicate entry for vector {coords}")
         if coords == (0,) * dim and degree != FULL:
             raise SpecError(
                 line, "zero entry must match the pin (mem 1/1 1/1, non 0/1 0/1)"
             )
-        self.entries[name][coords] = degree
+        entries[coords] = degree
 
     def stmt_map(self, args: list[str], line: int) -> None:
         field = self._need_field(line)
@@ -279,9 +292,7 @@ class _Loader:
             )
         sets: dict[str, WorkspaceSet] = {}
         for name, (space, default) in self.set_decls.items():
-            cif = make_cifset(
-                algebras[space], list(self.entries[name].items()), default
-            )
+            cif = make_cifset(algebras[space], self.targets[name][1].items(), default)
             sets[name] = WorkspaceSet(space, default, cif)
         maps: dict[str, WorkspaceMap] = {}
         for name, (src, tgt, kind, rows) in self.map_decls.items():
@@ -305,10 +316,9 @@ def parse_spec(text: str) -> Workspace:
     """Parse a document; any problem raises a SpecError with its line."""
     loader = _Loader()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = body.split()
         keyword, args = tokens[0], tokens[1:]
         handler = _STATEMENTS.get(keyword)
         if handler is None:

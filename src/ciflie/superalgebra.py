@@ -174,9 +174,10 @@ def validate_superalgebra(alg: Superalgebra) -> Report:
     """Check grading compatibility, super skew-symmetry and graded Jacobi.
 
     Every bracket is read from ``alg.structure``: Jacobi's outer brackets
-    are combinations of its cells, so none is evaluated.  One witness is
-    reported per violated axiom; an empty report confirms validity.
-    Violations are report content, never exceptions.
+    are combinations of its cells, so none is evaluated: a triple's terms
+    add into one residual over the cells' nonzero entries, tested mod p.
+    One witness is reported per violated axiom; an empty report confirms
+    validity.  Violations are report content, never exceptions.
     """
     failures: list[str] = []
     p = alg.field.p
@@ -206,17 +207,25 @@ def validate_superalgebra(alg: Superalgebra) -> Report:
     # Jacobi in Leibniz form: ad(b_i) is a superderivation of the bracket.
     # Each term is a combination of table cells, [b_i, c] = sum_m c_m
     # [b_i, b_m] and [c, b_k] = sum_m c_m [b_m, b_k] over c's support, so
-    # a triple whose three cells are zero holds.
+    # a triple whose three cells are zero holds.  The residual is
+    # [b_i, [b_j, b_k]] - [[b_i, b_j], b_k] - sign [b_j, [b_i, b_k]].
     support = [[[(m, c) for m, c in enumerate(cell) if c] for cell in row] for row in table]
     for i, j, k in itertools.product(range(n), repeat=3):
         jk, ij, ik = support[j][k], support[i][j], support[i][k]
         if not (jk or ij or ik):
             continue
         sign = (-1) ** (alg.parity[i] * alg.parity[j])
-        lhs = [sum(c * table[i][m][q] for m, c in jk) for q in range(n)]
-        first = [sum(c * table[m][k][q] for m, c in ij) for q in range(n)]
-        second = [sum(c * table[j][m][q] for m, c in ik) for q in range(n)]
-        if any((a - b - sign * s) % p for a, b, s in zip(lhs, first, second)):
+        residual = [0] * n
+        for m, c in jk:
+            for q, d in support[i][m]:
+                residual[q] += c * d
+        for m, c in ij:
+            for q, d in support[m][k]:
+                residual[q] -= c * d
+        for m, c in ik:
+            for q, d in support[j][m]:
+                residual[q] -= sign * c * d
+        if any(r % p for r in residual):
             failures.append(
                 f"graded Jacobi: witness basis triple (b{i}, b{j}, b{k})"
             )

@@ -12,6 +12,9 @@ the dynamic-programming fixpoint over single-term values, quadratic per
 round, checked against both ``bracket_product`` and the coset-closure
 ``bracket_product_oracle``.
 
+``pointwise_is_z2_graded`` reads the grading condition on degrees,
+vector by vector, where ``ciflie`` compares rank keys.
+
 ``fiber`` solves phi(x) = y by elimination, and ``fiber_image`` and
 ``fiber_preimage`` read the image and the preimage of a CIF set off the
 fibers, without the forward pass over the source that ``ciflie`` makes.
@@ -46,7 +49,7 @@ from ciflie import (
     deg_join,
     deg_leq,
     deg_meet,
-    is_z2_graded,
+    graded_split,
     space_vectors,
 )
 from ciflie.cifset import _same_space
@@ -275,11 +278,25 @@ def quadratic_is_cif_subspace(A: CIFSet) -> Report:
     return Report(True)
 
 
+def pointwise_is_z2_graded(A: CIFSet) -> Report:
+    """The grading condition read on degrees, vector by vector: A's
+    membership at x is the meet of its memberships at the even and odd
+    parts of x, and its non-membership the join."""
+    alg = A.space
+    for x in space_vectors(alg):
+        x0, x1 = graded_split(alg, x)
+        if A.mem(x) != deg_meet(A.mem(x0), A.mem(x1)):
+            return Report(False, (f"membership not graded at x={x}",))
+        if A.non(x) != deg_join(A.non(x0), A.non(x1)):
+            return Report(False, (f"non-membership not graded at x={x}",))
+    return Report(True)
+
+
 def quadratic_is_cif_ideal(A: CIFSet) -> Report:
     sub = quadratic_is_cif_subspace(A)
     if not sub:
         return Report(False, (f"subspace clause: {sub.witness}",))
-    graded = is_z2_graded(A)
+    graded = pointwise_is_z2_graded(A)
     if not graded:
         return Report(False, (f"grading clause: {graded.witness}",))
     alg = A.space

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ciflie import (
+    CIFDegree,
     CIFSet,
+    Degree,
     EMPTY,
     FULL,
     GradedMap,
@@ -33,7 +36,7 @@ from ciflie import (
 import ciflie.cifset as cifset_module
 from ciflie.bracket import bracket_product
 from ciflie.generators import make_config, gen_cif_subspace, gen_pair
-from oracles import quadratic_is_cif_ideal
+from oracles import pointwise_is_z2_graded, quadratic_is_cif_ideal
 
 E, F = (1, 0), (0, 1)
 D_MAIN = cif_degree("2/3", "1/2", "1/4", "1/3")
@@ -205,6 +208,45 @@ def test_passing_ideal_check_encodes_once(L3, monkeypatch):
         calls.clear()
         assert is_cif_ideal(S)
         assert len(calls) == 1
+
+
+def _nudged(A, rng, side):
+    """A with one vector whose parts are both nonzero moved to a new
+    phase on one side, so only that side's grading can break."""
+    alg = A.space
+    mixed = [x for x in space_vectors(alg) if any(x[i] for i in range(alg.dim) if alg.parity[i])
+             and any(x[i] for i in range(alg.dim) if not alg.parity[i])]
+    x = rng.choice(mixed)
+    d = A.table[x]
+    w = rng.choice([q for q in (Fraction(0), Fraction(1, 2), Fraction(1)) if q != getattr(d, side).w])
+    moved = Degree(getattr(d, side).r, w)
+    table = dict(A.table)
+    table[x] = CIFDegree(moved, d.non) if side == "mem" else CIFDegree(d.mem, moved)
+    return CIFSet(alg, table)
+
+
+def test_grading_on_rank_keys_matches_the_pointwise_reading(H, L3, L5):
+    """``is_z2_graded`` compares rank keys and ``is_cif_ideal`` hands it
+    its own encoding; both give the verdict and witness of the reading on
+    degrees, on random tables, graded and ideal draws, and sets knocked
+    off the grading on one side."""
+    rng = random.Random(21)
+    seen = set()
+    for alg in (H, L3, L5):
+        sets = [
+            gen_random_table(alg, rng, palette=rng.choice((2, 6)), grid=rng.choice((2, 12))) for _ in range(6)
+        ]
+        for seed in range(6):
+            for kind in ("graded", "ideal"):
+                sets += gen_pair(make_config(seed, alg), kind=kind)
+        sets += [_nudged(S, rng, side) for S in sets[-8:] for side in ("mem", "non")]
+        for S in sets:
+            want = pointwise_is_z2_graded(S)
+            assert is_z2_graded(S) == want
+            seen.add(want.witness.split(" not")[0] if want.failures else True)
+            if alg.size <= 27:
+                assert is_cif_ideal(S) == quadratic_is_cif_ideal(S)
+    assert seen == {True, "membership", "non-membership"}
 
 
 def test_graded_examples(H):

@@ -1,6 +1,7 @@
 """Image and preimage against their fiber-wise definitions.
 
-``ciflie.image`` pushes a set forward in one pass over the source and
+``ciflie.image`` pushes a set forward from the images of all source
+vectors, built in one pass over the matrix rows, and
 ``ciflie.preimage`` composes its table with the map.  ``oracles`` reads
 both off the fibers phi^-1(y), found by elimination: the image takes the
 best degree over each fiber and EMPTY off the image, the preimage gives
@@ -27,7 +28,9 @@ from ciflie import (
     image,
     make_config,
     preimage,
+    PrimeField,
     space_vectors,
+    superalgebra_from_pairs,
 )
 from oracles import fiber, fiber_image, fiber_preimage
 
@@ -128,3 +131,31 @@ def test_negative_control_min_image_is_caught(alg_name, request):
     assert any(kind == "image" for kind, *_ in bad)
     # only non-injective maps have fibers with two members to tell apart
     assert all(map_name != "anti-hom" for _, _, map_name, _ in bad)
+
+
+def test_image_matches_the_fibers_on_random_maps():
+    """Random plain and anti matrices between carriers of different
+    dimensions over F_2, F_3 and F_5, most of them neither injective nor
+    surjective: the one-pass image equals the fiber-wise one."""
+    rng = random.Random(19)
+    shapes = set()
+    for p, dims in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (1, 2, 3))):
+        field = PrimeField(p)
+        for _ in range(12):
+            n, k = rng.choice(dims), rng.choice(dims)
+            source = superalgebra_from_pairs(field, tuple(rng.randrange(2) for _ in range(n)), {})
+            target = superalgebra_from_pairs(field, tuple(rng.randrange(2) for _ in range(k)), {})
+            rows = tuple(
+                tuple(rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(k)) for _ in range(n)
+            )
+            m = GradedMap(source, target, rows, rng.choice(("plain", "anti")))
+            A = gen_random_table(source, rng, palette=5, grid=8)
+            assert image(m, A) == fiber_image(m, A), m
+            hit = {y for y in space_vectors(target) if fiber(m, y)}
+            shapes.add((p, n == k, len(hit) == source.size, len(hit) == target.size))
+    assert {p for p, *_ in shapes} == {2, 3, 5}
+    # (square, injective, surjective): every shape but the impossible ones
+    assert {tuple(shape) for _, *shape in shapes} >= {
+        (False, False, False), (False, True, False), (False, False, True),
+        (True, False, False), (True, True, True),
+    }

@@ -47,5 +47,8 @@ def test_time_kernels_on_h():
     assert lines == [json.dumps(row, sort_keys=True) for row in rows]
     assert [(r["input"], r["operation"]) for r in rows] == [
         (kind, op) for kind in ("subspace", "palette", "per-vector") for op in ("cif_sum", "bracket_product")
+    ] + [
+        ("palette", "parse_spec"), ("per-vector", "parse_spec"), ("algebra", "validate_superalgebra"),
+        ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
     ]
     assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)

@@ -239,6 +239,57 @@ def test_bad_degree_after_repeats_is_reported_at_its_first_line(bad, fragment):
     assert ws.sets["A"].cifset.table[(1, 1)] == cif_degree("1/2", "1/2", "1/2", "1/2")
 
 
+MEMO_BASE = """field 3
+space X dim 2 parity 0 1
+cifset A on X default 0/1 0/1 1/1 1/1
+entry A 0 1 deg 1/2 1/2 1/2 1/2
+"""
+
+
+@pytest.mark.parametrize(
+    ("tail", "message"),
+    [
+        # a bad coordinate token, first seen after lines that fill the memo
+        (
+            "entry A 1 0 deg 1/2 1/2 1/2 1/2\nentry A 1 x deg 1/2 1/2 1/2 1/2\n"
+            "entry A x 2 deg 1/2 1/2 1/2 1/2\n",
+            "line 6: coordinate: 'x' is not an integer",
+        ),
+        # 4 and 1 are one element of F_3, so the second line repeats the first
+        (
+            "entry A 1 4 deg 1/4 1/2 1/2 1/2\nentry A 1 1 deg 1/3 1/2 1/2 1/2\n",
+            "line 6: duplicate entry for vector (1, 1)",
+        ),
+        # a bad rational token in two distinct degree tuples
+        (
+            "entry A 1 0 deg 1/3 1/2 1/2 1/0\nentry A 1 1 deg 1/2 1/3 1/2 1/0\n",
+            "line 5: degree component: '1/0' is not a rational",
+        ),
+        # a bad entry line before a bad map line: the entry's line wins
+        (
+            "entry A 1 0 deg 1/2 1/2 1/2 2/1\nmap m X -> X kind plain rows 1 0 / 0 9 9\n",
+            "line 5: phase must lie in [0, 1], got 2",
+        ),
+        # 0 3 is the zero vector of F_3^2
+        (
+            "entry A 0 3 deg 1/2 1/2 1/2 1/2\n",
+            "line 5: zero entry must match the pin (mem 1/1 1/1, non 0/1 0/1)",
+        ),
+    ],
+)
+def test_memoised_tokens_keep_the_first_error_and_its_line(tail, message):
+    with pytest.raises(SpecError) as info:
+        parse_spec(MEMO_BASE + tail)
+    assert str(info.value) == message
+
+
+def test_memoised_tokens_reduce_like_fresh_ones():
+    ws = parse_spec(MEMO_BASE + "entry A 4 2 deg 1/2 1/2 1/2 1/2\nentry A 2 5 deg 2/4 1/2 1/2 1/2\n")
+    table = ws.sets["A"].cifset.table
+    assert table[(1, 2)] is table[(0, 1)]
+    assert table[(2, 2)] == table[(0, 1)]
+
+
 SPACE_H = "field 3\nspace H dim 2 parity 0 1\n"
 SET_A = "cifset A on H default 0 0 1 1\n"
 

@@ -308,15 +308,41 @@ def test_validators_agree_with_brute_force_on_random_tables():
 
 
 def test_jacobi_from_table_cells_matches_basis_vector_reference(monkeypatch):
-    """The validator reads Jacobi's terms as combinations of table cells
-    and skips triples whose three cells are zero; on seeded random
-    tables of dims 1-4 over F_2, F_3 and F_5 its failures, witnesses
-    included, are the basis-vector reading's, and it evaluates no
-    bracket.  Valid tables and every axiom's failure are seen."""
+    """The validator adds Jacobi's terms into one residual read off the
+    nonzero entries of the table cells, and skips triples whose three
+    cells are zero; on seeded random tables of dims 1-4 over F_2, F_3
+    and F_5, sparse and dense, its failures, witnesses included, are the
+    basis-vector reading's, and it evaluates no bracket.  Valid tables
+    and every axiom's failure are seen."""
     rng = random.Random(16)
     algebras = [
         _random_algebra(rng, p, dim) for p in (2, 3, 5) for dim in (1, 2, 3, 4) for _ in range(25)
     ]
+    # dense graded tables: every cell may have several nonzero entries,
+    # and the sign of Jacobi's last term decides on odd pairs
+    for p in (2, 3, 5):
+        for dim in (2, 3, 4):
+            for _ in range(10):
+                parity = tuple(rng.randrange(2) for _ in range(dim))
+                pairs = {
+                    (i, j): tuple(
+                        rng.randrange(1, p) if q == parity[i] ^ parity[j] else 0 for q in parity
+                    )
+                    for i, j in itertools.combinations_with_replacement(range(dim), 2)
+                }
+                algebras.append(superalgebra_from_pairs(PrimeField(p), parity, pairs))
+    # valid tables with several nonzero entries per cell: brackets land on
+    # a two-dimensional even centre
+    centred = []
+    for p in (2, 3, 5):
+        parity = (0, 0, 1, 1, 0)
+        pairs = {
+            (i, j): (rng.randrange(1, p), rng.randrange(1, p), 0, 0, 0)
+            for i, j in itertools.combinations_with_replacement(range(2, 5), 2)
+            if parity[i] == parity[j] and (i != j or parity[i] or p == 2)
+        }
+        centred.append(superalgebra_from_pairs(PrimeField(p), parity, pairs))
+    algebras += centred
     # central extensions: every bracket lands on the central b0, so Jacobi
     # holds with nonzero cells
     for p in (2, 3, 5):
@@ -336,6 +362,7 @@ def test_jacobi_from_table_cells_matches_basis_vector_reference(monkeypatch):
         assert got.failures == want.failures, alg
         seen |= {f.split(":")[0] for f in got.failures} | {got.ok}
     assert seen == {True, False, "grading", "super skew-symmetry", "graded Jacobi"}
+    assert all(validate_superalgebra(alg).ok for alg in centred)
 
 
 ZERO_2 = ((0, 0), (0, 0))
