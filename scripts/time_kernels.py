@@ -8,7 +8,10 @@ two trees can be compared on the same inputs.  The algebras are H
 table over F_5, 3125).  The input kinds are a generated pair of CIF
 subspaces, two random tables over a 24-degree palette, and two random
 tables that give every nonzero vector its own degree.  Each kind is
-summed and bracketed.  The steps that every ``ciflie`` command pays
+summed and bracketed, and the random tables are bracketed again by the
+coset oracle ``bracket_product_oracle``, which enumerates all |V|^2
+pairs; on F5^5 only the palette tables are, since the per-vector pair
+takes about half a minute.  The steps that every ``ciflie`` command pays
 before its operation follow: ``parse_spec`` of the serialized palette
 and per-vector workspaces (two sets each), ``validate_superalgebra`` of
 the algebra, ``is_cif_ideal`` of a generated ideal, and ``image`` of
@@ -32,6 +35,7 @@ from ciflie import (
     PrimeField,
     Workspace,
     bracket_product,
+    bracket_product_oracle,
     cif_degree,
     cif_sum,
     gen_cif_ideal,
@@ -120,6 +124,9 @@ def cases(name: str, alg):
         A, B = tables[kind] = inputs(name, alg, kind)
         for op_name, op in OPERATIONS.items():
             yield kind, op_name, lambda op=op, A=A, B=B: op(A, B), table_fingerprint
+    for kind in ("palette",) if alg.size > 625 else ("palette", "per-vector"):
+        A, B = tables[kind]
+        yield kind, "bracket_product_oracle", lambda A=A, B=B: bracket_product_oracle(A, B), table_fingerprint
     for kind in ("palette", "per-vector"):
         text = spec_text(alg, *tables[kind])
         yield kind, "parse_spec", lambda text=text: parse_spec(text), serialize

@@ -34,18 +34,22 @@ The oracle reads each component through its level subgroups (Das's
 level subgroups of a fuzzy group; Zadeh's resolution identity): each
 crisp bracket g is seeded with its best single-term value, and the
 seeds, swept best first, grow the additive closure one coset at a time,
-so each vector is reached once.  It uses vector addition only, no spans,
-echelon forms, rank encoder or result decoder of the ladder's; it shares
+so each vector is reached once.  It enumerates all |V|^2 argument pairs,
+a row [a, B] at a time off the basis table [e_i, e_j], but ranks only
+the distinct degrees, exactly, and seeds and closes once per split of
+its own.  It uses vector addition only, no spans, echelon forms, rank
+encoder, ``per_split`` or result decoder of the ladder's; it shares
 ``bracket_eval``, the vector operations, ``space_vectors`` and
 ``COMPONENTS``.  Agreement between the two is the module's keystone
-correctness property.  It enumerates all |V|^2 argument pairs and takes
-every carrier the package accepts (MAX_CARRIER = 3125 vectors).
+correctness property.  It takes every carrier the package accepts
+(MAX_CARRIER = 3125 vectors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cmp_to_key
+from operator import mul
 
 from .cifset import (
     COMPONENTS,
@@ -58,7 +62,7 @@ from .cifset import (
     per_split,
     rank_encode,
 )
-from .degrees import CIFDegree, Degree
+from .degrees import EMPTY, CIFDegree, Degree
 from .superalgebra import (
     SpanBuilder,
     SubspaceBasis,
@@ -217,51 +221,79 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     max) over the pairs giving it, ranked so that higher is better; the
     seeds, best first, grow a closed set S: g outside S adds S + g, ...,
     S + (p-1)g, each new vector taking g's seed.  Zero takes the top seed,
-    vectors never reached the component default.  Pairs are enumerated
-    per pair of argument degrees, the seeds updated once per distinct g.
-    The ranks are the oracle's own, read back through its own levels.
+    vectors never reached the component default.
+
+    Only the distinct degrees are ranked, exactly, and components that
+    rank every degree alike are seeded and closed once.  One a at a time,
+    [a, b] is read off the basis table [e_i, e_j] for every b, by
+    bilinearity, and reduced mod p; each bracket takes the rank of its
+    best b, found scanning B best first until every bracket of the row
+    has been seen.
     """
     alg = _same_space(A, B)
-    p = alg.field.p
+    p, dim = alg.field.p, alg.dim
     vectors = space_vectors(alg)
-    getters = [attrgetter(f"{side}.{attr}") for side, attr, _, _ in COMPONENTS]
-    levels = [  # per component, the default then the values, worst first
-        [default, *sorted({get(S.table[x]) for S in (A, B) for x in vectors}, reverse=not descending)]
-        for get, (_, _, descending, default) in zip(getters, COMPONENTS)
-    ]
-    ranks = [{v: r for r, v in enumerate(level)} for level in levels]
-    classes: tuple[dict, dict] = ({}, {})  # rank tuple -> A's vectors, B's indices
+    by_degree: tuple[dict, dict] = ({}, {})  # degree -> A's vectors, B's indices
     for i, x in enumerate(vectors):
-        for S, group, item in ((A, classes[0], x), (B, classes[1], i)):
-            key = tuple(rank[get(S.table[x])] for rank, get in zip(ranks, getters))
-            group.setdefault(key, []).append(item)
+        by_degree[0].setdefault(A.table[x], []).append(x)
+        by_degree[1].setdefault(B.table[x], []).append(i)
+    degrees = [*by_degree[0], *by_degree[1]]
+    exact = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
+    levels, ranks = [], []  # per component: the default, the values worst first; each degree's rank
+    for side, attr, descending, default in COMPONENTS:
+        values = [getattr(getattr(d, side), attr) for d in degrees]
+        pairs = [q.as_integer_ratio() for q in values]
+        distinct = dict(zip(pairs, values))
+        order = sorted(distinct, key=exact, reverse=not descending)
+        rank = {k: r for r, k in enumerate(order, 1)}
+        levels.append([default, *map(distinct.__getitem__, order)])
+        ranks.append([rank[k] for k in pairs])
+    keys = list(zip(*ranks))  # per degree, its ranks
+    # the ranks a component gives the degrees -> the first such component; each
+    # via a list, since tuple(generator) resizes as it grows, fragmenting the heap
+    first: dict[tuple, int] = {}
+    reps = [first.setdefault(tuple([k[c] for k in keys]), c) for c in range(len(COMPONENTS))]
+    classes = dict(zip(keys, by_degree[0].values()))  # A's vectors by ranks
+    b_rank = {i: k for k, bs in zip(keys[len(classes) :], by_degree[1].values()) for i in bs}
+    # per split, B's ranks and indices, best first
+    best_first = {c: sorted(((k[c], i) for i, k in b_rank.items()), reverse=True) for c in first.values()}
 
-    # [a, b] is kept as an unreduced code, 10 bits a coordinate, and
-    # reduced mod p once per distinct code after the enumeration.  A
-    # coordinate sums dim terms of at most (p-1)^2; check_carrier bounds
-    # dim * (p-1)^2 by 432 (F_13^3), so it stays under 1024.
-    seeds: list[dict[int, int]] = [{} for _ in COMPONENTS]
-    for ra, xs in classes[0].items():
-        found = {rb: set() for rb in classes[1]}
+    # [a, b] is built as an unreduced code, w bits a coordinate, and
+    # reduced mod p once per distinct code.  A coordinate sums dim^2 terms
+    # a_i * b_j * [e_i, e_j]_k, each at most (p-1)^3, so it stays below 2^w.
+    w = (dim * dim * (p - 1) ** 3).bit_length()
+    basis = [alg.basis(i) for i in range(dim)]  # the table: per j, the codes of [e_i, e_j] over i
+    table = [[sum(c << w * k for k, c in enumerate(bracket_eval(alg, e, f))) for e in basis] for f in basis]
+    canon: dict[int, int] = {}  # code -> the code of its reduction mod p
+    seeds: dict[int, dict[int, int]] = {c: {} for c in first.values()}  # per split, reduced code -> rank
+    for ra, xs in classes.items():
         for a in xs:
             row = [0]  # [a, b] for every b, in carrier order
-            for j in range(alg.dim):
-                col = sum(c << 10 * k for k, c in enumerate(bracket_eval(alg, a, alg.basis(j))))
+            for column in table:
+                col = sum(map(mul, a, column))
                 steps = [k * col for k in range(p)]
                 row = [x + s for x in row for s in steps]
-            for rb, bs in classes[1].items():
-                found[rb].update(map(row.__getitem__, bs))
-        for rb, gs in found.items():
-            for best, t in zip(seeds, map(min, ra, rb)):
-                for g in gs:
+            codes = set(row)
+            for g in codes.difference(canon):
+                canon[g] = sum((g >> w * k) % (1 << w) % p << w * k for k in range(dim))
+            count = len({canon[g] for g in codes})  # the distinct brackets of the row
+            for c, best in seeds.items():
+                top: dict[int, int] = {}  # each bracket's first, so best, rank
+                for t, i in best_first[c]:
+                    g = canon[row[i]]
+                    if g not in top:
+                        top[g] = t
+                        if len(top) == count:
+                            break
+                for g, t in top.items():
+                    t = min(ra[c], t)  # a pair ranks as the worse of its two
                     if best.get(g, -1) < t:
                         best[g] = t
 
-    reduced = {c: tuple((c >> 10 * k & 1023) % p for k in range(alg.dim)) for c in seeds[0]}
-    columns = []
-    for codes in seeds:
-        # codes of one vector: the best seed comes last and wins
-        seed = {reduced[c]: t for c, t in sorted(codes.items(), key=lambda item: item[1])}
+    vector = {g: tuple((g >> w * k) % (1 << w) for k in range(dim)) for g in seeds[0]}
+    columns = {}
+    for c, ranked in seeds.items():
+        seed = {vector[g]: t for g, t in ranked.items()}
         value = {alg.zero(): max(seed.values())}
         closed = [alg.zero()]
         for g in sorted(seed, key=seed.__getitem__, reverse=True):
@@ -269,16 +301,13 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
                 coset = [vec_add(p, x, vec_scale(p, k, g)) for k in range(1, p) for x in closed]
                 value.update((x, seed[g]) for x in coset)
                 closed += coset
-        columns.append([value.get(x, 0) for x in vectors])
-    decoded: dict[tuple, CIFDegree] = {}  # one degree per distinct row of ranks
-    table = {}
-    for x, row in zip(vectors, zip(*columns)):
-        d = decoded.get(row)
-        if d is None:
-            mr, mw, nr, nw = map(list.__getitem__, levels, row)
-            d = decoded[row] = CIFDegree(Degree(mr, mw), Degree(nr, nw))
-        table[x] = d
-    return CIFSet(alg, table)
+        columns[c] = [value.get(x, 0) for x in vectors]
+    rows = list(zip(*(columns[c] for c in reps)))
+    decoded = {(0, 0, 0, 0): EMPTY, **dict(zip(keys, degrees))}  # rows known up front; others built once
+    for row in set(rows).difference(decoded):
+        mr, mw, nr, nw = map(list.__getitem__, levels, row)
+        decoded[row] = CIFDegree(Degree(mr, mw), Degree(nr, nw))
+    return CIFSet(alg, dict(zip(vectors, map(decoded.__getitem__, rows))))
 
 
 def bracket_graded_parts(A: CIFSet, B: CIFSet) -> tuple[CIFSet, CIFSet]:

@@ -40,7 +40,7 @@ from .superalgebra import (
     space_vectors,
     superalgebra_from_pairs,
 )
-from .cifset import CIFSet, make_cifset
+from .cifset import CIFSet
 
 
 class SpecError(Exception):
@@ -292,8 +292,9 @@ class _Loader:
             )
         sets: dict[str, WorkspaceSet] = {}
         for name, (space, default) in self.set_decls.items():
-            cif = make_cifset(algebras[space], self.targets[name][1].items(), default)
-            sets[name] = WorkspaceSet(space, default, cif)
+            alg, entries = algebras[space], self.targets[name][1]  # stmt_entry checked each entry
+            table = {**dict.fromkeys(space_vectors(alg), default), **entries, alg.zero(): FULL}
+            sets[name] = WorkspaceSet(space, default, CIFSet(alg, table))
         maps: dict[str, WorkspaceMap] = {}
         for name, (src, tgt, kind, rows) in self.map_decls.items():
             maps[name] = WorkspaceMap(

@@ -9,20 +9,25 @@ The three share no code, so their agreement checks each of them.
 
 import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
 import ciflie.bracket as bracket_module
 from ciflie import (
+    EMPTY,
     bracket_eval,
     bracket_product,
     bracket_product_oracle,
     check_theorem,
+    cif_degree,
     first_difference,
     gen_pair,
     gen_random_table,
     is_trivial,
+    make_cifset,
     make_config,
+    space_vectors,
     span_closure,
     superalgebra_from_pairs,
     validate_superalgebra,
@@ -34,7 +39,7 @@ from oracles import fixpoint_bracket_product, quadratic_bracket_product
 PAIR_KINDS = ("set", "subspace", "graded", "ideal")
 SPAN_NAMES = {
     "SpanBuilder", "SubspaceBasis", "span_closure", "_cut_spans", "rank_encode", "rank_steps",
-    "from_columns",
+    "from_columns", "per_split", "_carrier_bits", "_translate", "_achievable", "_clashing_keys",
 }
 
 
@@ -100,7 +105,17 @@ MUTANTS = {
         "coset = [g]",
     ),
     # a pair counts with the better of its two values, not the worse
-    "max-seeds": ("map(min, ra, rb)", "map(max, ra, rb)"),
+    "max-seeds": ("t = min(ra[c], t)", "t = max(ra[c], t)"),
+    # splits compared by their number of levels only: a component may
+    # reuse the column of another split with as many levels
+    "wrong-split": (
+        "first.setdefault(tuple([k[c] for k in keys]), c)",
+        "first.setdefault(len({k[c] for k in keys}), c)",
+    ),
+    # the basis table drops the first coordinate of every [e_i, e_j]
+    "dropped-coefficient": (
+        "enumerate(bracket_eval(alg, e, f))", "enumerate(bracket_eval(alg, e, f)) if k"
+    ),
 }
 
 
@@ -225,3 +240,77 @@ def test_keystone_on_larger_derived_algebras(request, name, derived, quadratic_e
             assert first_difference(K, quadratic_bracket_product(A, B)) is None
     if name == "sl2":
         assert all(_reaches_full_carrier(A, B) for A, B in pairs)
+
+
+def _table(alg, rng, degree):
+    nonzero = [x for x in space_vectors(alg) if x != alg.zero()]
+    return make_cifset(alg, [(x, degree(rng)) for x in nonzero], EMPTY)
+
+
+def _split_degree(rng, amplitudes=range(1, 7)):
+    """Non r = (1 - mem r) / 2 falls as mem r rises, so the two rank
+    every degree alike; the phases are drawn on their own."""
+    r = Fraction(rng.choice(amplitudes), 6)
+    return cif_degree(r, Fraction(rng.randint(0, 6), 6), (1 - r) / 2, Fraction(rng.randint(0, 6), 6))
+
+
+def _between_degree(rng):
+    """Mem r 2/6 and non r 4/12 or 0, between and above the values of
+    ``_split_degree(rng, (1, 3))``: with those, mem r and non r rank the
+    lower degrees alike and these apart."""
+    return cif_degree(Fraction(2, 6), Fraction(rng.randint(0, 6), 6), rng.choice([Fraction(4, 12), 0]), 0)
+
+
+def _default_degree(rng):
+    """The off value on some components: mem r 0; non r 1 (so mem r 0);
+    mem w 0 and non w 1; or the whole default degree."""
+
+    def third():
+        return Fraction(rng.randint(0, 3), 3)
+
+    return rng.choice([
+        cif_degree(0, third(), third(), third()),
+        cif_degree(0, third(), 1, third()),
+        cif_degree(Fraction(rng.randint(1, 2), 3), 0, Fraction(1, 3), 1),
+        EMPTY,
+    ])
+
+
+def _tie_degree(rng):
+    """Values a few 10^-1000 apart, equal as floats: the membership
+    amplitude 1/3 + k/D and phase 1/2 - k/D, the non-membership
+    amplitude half of what is left of the budget."""
+    D = 10**999 + 7
+    r = Fraction(1, 3) + Fraction(rng.randint(0, 4), D)
+    return cif_degree(r, Fraction(1, 2) - Fraction(rng.randint(0, 4), D), (1 - r) / 2, Fraction(rng.randint(0, 2), 2))
+
+
+@pytest.mark.parametrize("name", ["H", "L3", "sl2", "C2"])
+def test_oracle_matches_fixpoint_on_split_reuse_defaults_and_float_ties(request, name):
+    """Pairs for the oracle's own shortcuts: components that split alike
+    (mem r with non r) and apart (the phases), so a column is reused and
+    three are closed; nonzero vectors at the default value on some
+    component; values that only an exact comparison orders; and a pair
+    whose A splits alike where its B does not."""
+    alg = request.getfixturevalue(name)
+    rng = random.Random(name)
+    pairs = [tuple(_table(alg, rng, degree) for _ in range(2)) for degree in (_split_degree, _default_degree, _tie_degree)]
+    # mem r and non r rank A's degrees alike but not B's: no reuse
+    low = _table(alg, rng, lambda rng: _split_degree(rng, (1, 3)))
+    pairs.append((low, _table(alg, rng, _between_degree)))
+    splits = []
+    for A, B in pairs:
+        groups = rank_encode(A, B)[1]
+        splits.append([tuple(key[c] for g in groups for key in g) for c in range(4)])
+        K = bracket_product_oracle(A, B)
+        assert not is_trivial(K)
+        assert first_difference(fixpoint_bracket_product(A, B), K) is None
+        assert first_difference(bracket_product(A, B), K) is None
+    # the reuse is hit (mem r with non r) and missed (the phases, and
+    # the amplitudes when only A splits alike)
+    split = splits[0]
+    assert split[0] == split[2] and len({split[0], split[1], split[3]}) == 3
+    assert splits[3][0] != splits[3][2]
+    # the ties: more distinct amplitudes than floats tell apart
+    values = {A.table[x].mem.r for A in pairs[2] for x in space_vectors(alg)}
+    assert len(values) > len({float(q) for q in values})

@@ -48,6 +48,7 @@ def test_time_kernels_on_h():
     assert [(r["input"], r["operation"]) for r in rows] == [
         (kind, op) for kind in ("subspace", "palette", "per-vector") for op in ("cif_sum", "bracket_product")
     ] + [
+        ("palette", "bracket_product_oracle"), ("per-vector", "bracket_product_oracle"),
         ("palette", "parse_spec"), ("per-vector", "parse_spec"), ("algebra", "validate_superalgebra"),
         ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
     ]

@@ -340,6 +340,6 @@ def test_catch_alls_turn_any_other_error_into_a_spec_error(monkeypatch):
     with pytest.raises(SpecError, match=r"^line 2: malformed statement: boom$"):
         parse_spec(MINIMAL)
     monkeypatch.undo()
-    monkeypatch.setattr(specfile, "make_cifset", boom)
+    monkeypatch.setattr(specfile, "CIFSet", boom)
     with pytest.raises(SpecError, match=r"^line 0: inconsistent document: boom$"):
         parse_spec(SPACE_H + SET_A)
