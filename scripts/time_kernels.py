@@ -14,9 +14,11 @@ pairs; on F5^5 only the palette tables are, since the per-vector pair
 takes about half a minute.  The steps that every ``ciflie`` command pays
 before its operation follow: ``parse_spec`` of the serialized palette
 and per-vector workspaces (two sets each), ``validate_superalgebra`` of
-the algebra, ``is_cif_ideal`` of a generated ideal, and ``image`` of
-the palette and per-vector tables under a fixed grading-preserving map
-that is neither injective nor surjective.
+the algebra, the predicates ``is_cif_subspace`` of the generated
+subspace pair's first set and ``is_cif_ideal`` of a generated ideal
+(both pass: a failing check rescans |V|^2 pairs for its witness, about
+20 s on F5^5), and ``image`` of the palette and per-vector tables under
+a fixed grading-preserving map that is neither injective nor surjective.
 
     PYTHONPATH=src python3 scripts/time_kernels.py --algebras H,L5 --repeat 5
 """
@@ -42,6 +44,7 @@ from ciflie import (
     gen_pair,
     image,
     is_cif_ideal,
+    is_cif_subspace,
     make_cifset,
     make_config,
     parse_spec,
@@ -131,6 +134,8 @@ def cases(name: str, alg):
         text = spec_text(alg, *tables[kind])
         yield kind, "parse_spec", lambda text=text: parse_spec(text), serialize
     yield "algebra", "validate_superalgebra", lambda: validate_superalgebra(alg), repr
+    subspace = tables["subspace"][0]
+    yield "subspace", "is_cif_subspace", lambda: is_cif_subspace(subspace), repr
     ideal = gen_cif_ideal(make_config(0, alg))
     yield "ideal", "is_cif_ideal", lambda: is_cif_ideal(ideal), repr
     m = collapsing_map(alg)

@@ -19,16 +19,17 @@ combination of cut generators.  Two facts make each cut cheap and exact:
 So the thresholds are the values A and B take, swept as the int ranks of
 ``cifset.rank_encode``, and a sweep that brackets only the basis vectors
 new at each threshold against the other side's basis makes at most dim^2
-bracket evaluations per component.  A component is fixed by its family
-of cuts (Zadeh's resolution identity) and the sweep reads t as a label
-only.  The ranks are dense over the values taken, so two components that
-cut A and B into the same levels, with rank 0 in both or in neither,
-carry the same labels too: ``cifset.per_split`` sweeps once for
-both.  On homogeneous pairs the degree values form a chain and the
-componentwise reading is the joint amplitude-phase ladder; otherwise the
-result carries a note.  Whether the meets (joins) of the values form a
-chain is decided from each side's distinct ranks capped by the other
-side's top, without forming the k_A * k_B meets.
+bracket evaluations per component.  Spans are carrier bitsets grown by
+translates (``cifset._grow``), as the sum grows its sumsets.  A component
+is fixed by its family of cuts (Zadeh's resolution identity) and the
+sweep reads t as a label only.  The ranks are dense over the values
+taken, so two components that cut A and B into the same levels, with rank
+0 in both or in neither, carry the same labels too: ``cifset.per_split``
+sweeps once for both.  On homogeneous pairs the degree values form a
+chain and the componentwise reading is the joint amplitude-phase ladder;
+otherwise the result carries a note.  Whether the meets (joins) of the
+values form a chain is decided from each side's distinct ranks capped by
+the other side's top, without forming the k_A * k_B meets.
 
 The oracle reads each component through its level subgroups (Das's
 level subgroups of a fuzzy group; Zadeh's resolution identity): each
@@ -54,6 +55,8 @@ from operator import mul
 from .cifset import (
     COMPONENTS,
     CIFSet,
+    _grow,
+    _label,
     _same_space,
     cif_sum,
     component_extension,
@@ -64,11 +67,11 @@ from .cifset import (
 )
 from .degrees import EMPTY, CIFDegree, Degree
 from .superalgebra import (
-    SpanBuilder,
     SubspaceBasis,
     Vector,
     bracket_eval,
     space_vectors,
+    span_closure,
     vec_add,
     vec_scale,
 )
@@ -85,38 +88,33 @@ class LevelCutLadder:
     cuts: tuple[SubspaceBasis, ...]
 
 
-def _cut_spans(alg, steps):
-    """Yield (t, span of the cut brackets) along ``steps``.
-
-    Each step is (t, the vectors that join A's cut at t, the vectors
-    that join B's cut at t), in sweep order.  Only the vectors that
-    raise the rank of a side's span are kept as its basis, and only
-    brackets with a new basis vector are taken, so the whole
-    sweep makes at most rank_A * rank_B bracket evaluations.  Nothing is
-    yielded before both cuts are nonempty: no pair clears those
-    thresholds, so they do not hold even the zero vector.
-    """
-    span_a = SpanBuilder(alg.field, alg.dim)
-    span_b = SpanBuilder(alg.field, alg.dim)
-    out = SpanBuilder(alg.field, alg.dim)
-    basis_a: list[Vector] = []
-    basis_b: list[Vector] = []
-    seen_a = seen_b = False
+def _component(alg, steps) -> list:
+    """One component of [A, B] in carrier order, as ranks: each x takes the
+    first rank t along ``steps`` whose cut span holds it, rank 0 (the off
+    value) when none does.  A step is (t, the vectors joining A's cut at t,
+    those joining B's).  Only the vectors that grow a side's span join its
+    basis, and only brackets with a new basis vector are taken, so the sweep
+    makes at most rank_A * rank_B bracket evaluations.  Nothing is labelled
+    before both cuts are nonempty: no pair clears those thresholds, so they
+    do not hold even the zero vector."""
+    column = [0] * len(space_vectors(alg))
+    full = (1 << len(column)) - 1
+    span_a = span_b = reached = 0  # a side's span holds bit 0, zero, once its cut is nonempty
+    out, basis_a, basis_b = 1, [], []
     for t, group_a, group_b in steps:
-        seen_a = seen_a or bool(group_a)
-        seen_b = seen_b or bool(group_b)
-        new_a = [a for a in group_a if span_a.add(a)]
-        new_b = [b for b in group_b if span_b.add(b)]
+        span_a, new_a = _grow(alg, span_a | bool(group_a), group_a)
+        span_b, new_b = _grow(alg, span_b | bool(group_b), group_b)
         basis_b += new_b
-        for a in new_a:
-            for b in basis_b:
-                out.add(bracket_eval(alg, a, b))
-        for a in basis_a:
-            for b in new_b:
-                out.add(bracket_eval(alg, a, b))
+        brackets = [bracket_eval(alg, a, b) for a in new_a for b in basis_b]
+        brackets += [bracket_eval(alg, a, b) for a in basis_a for b in new_b]
         basis_a += new_a
-        if seen_a and seen_b:
-            yield t, out
+        out = _grow(alg, out, brackets)[0]
+        if span_a and span_b:
+            _label(column, out ^ reached, t)
+            reached = out
+            if reached == full or span_a & span_b == full:  # nothing left to label, or to grow
+                break
+    return column
 
 
 def _achievable(groups_a: dict, groups_b: dict, i: int) -> tuple[bool, list[dict]]:
@@ -160,10 +158,12 @@ def _level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:
     for g, cap, out in zip(groups, caps, entries):
         for key, xs in g.items():
             out.setdefault(cap[key[i : i + 2]], []).extend(xs)
-    steps = ((t, entries[0].get(t, ()), entries[1].get(t, ())) for t in order)
-    cuts = [span.to_basis() for _, span in _cut_spans(alg, steps)]
+    # threshold k is labelled len(order) - k: its cut holds the vectors labelled that or more
+    steps = [(len(order) - k, entries[0].get(t, ()), entries[1].get(t, ())) for k, t in enumerate(order)]
+    labels = list(zip(space_vectors(alg), _component(alg, steps)))
+    cuts = tuple(span_closure(alg, [x for x, label in labels if label >= k]) for k, _, _ in steps)
     thresholds = tuple(Degree(scales[i][r], scales[i + 1][w]) for r, w in order)
-    return LevelCutLadder(side, thresholds, tuple(cuts))
+    return LevelCutLadder(side, thresholds, cuts)
 
 
 def mem_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
@@ -174,23 +174,6 @@ def mem_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
 def non_level_ladder(A: CIFSet, B: CIFSet) -> LevelCutLadder:
     """Non-membership-side ladder; ascending thresholds, <=-cuts."""
     return _level_ladder(A, B, "non")
-
-
-def _component(alg, steps) -> list:
-    """One component of [A, B] in carrier order, as ranks: each x takes
-    the first rank whose cut span holds it along ``steps`` (see
-    ``_cut_spans``), rank 0 (the off value) when none does."""
-    vectors = space_vectors(alg)
-    value: dict[Vector, int] = {}
-    rank = -1
-    for t, span in _cut_spans(alg, steps):
-        if span.rank > rank:
-            rank = span.rank
-            for x in span.to_basis().members():
-                value.setdefault(x, t)
-            if len(value) == len(vectors):
-                break
-    return [value.get(x, 0) for x in vectors]
 
 
 def bracket_product(A: CIFSet, B: CIFSet) -> CIFSet:

@@ -24,18 +24,17 @@ definition, for these reasons:
   of a sum is the sumset of the cuts, (A + B)_t = A_t + B_t.
 * Pigeonhole: once |A_t| + |B_t| > |V|, the sets A_t and x - B_t meet
   for every x, so A_t + B_t is the whole carrier and the sweep stops.
-* A set of vectors is a bitset over the carrier.  Translating it by a
-  takes two masked shifts per nonzero coordinate of a, so a sumset grows
-  by one translate per new vector, not by one addition per pair.
+* Cuts, sumsets and spans are carrier bitsets, translated by two masked
+  shifts per nonzero coordinate: a sumset grows by one translate per new
+  vector, a span by p - 1 translates per vector off it (``_grow``).
 * A is a CIF subspace exactly when every cut of every component is a
   linear subspace.  Over F_p a nonempty set closed under + is closed
   under scalars too, and the pairwise clauses say precisely that each
-  cut is closed under + and holds 0.  A cut U is a subspace exactly
-  when |U| = p^rank(span U).
+  cut is closed under + and holds 0.  A cut is a subspace exactly when
+  it equals its span.
 * Cut-ideal criterion: a CIF subspace absorbs the bracket exactly when
   every cut U satisfies [u, v] in U and [v, u] in U for u in a basis of
   U and v in a basis of V.  By bilinearity that covers all of [U, V].
-  The test reads membership of U as the set of vectors swept so far.
 
 A failing predicate rescans its pairs in carrier order only to name the
 first witness, so its report reads as the pairwise definition's.
@@ -62,7 +61,6 @@ from .degrees import (
 from .report import Report
 from .superalgebra import (
     GradedMap,
-    SpanBuilder,
     Superalgebra,
     Vector,
     apply_map,
@@ -272,22 +270,20 @@ def per_split(kernel, alg: Superalgebra, groups: list[dict]) -> list:
 
 
 def _cut_clauses(alg: Superalgebra, steps) -> str | None:
-    """The first clause broken by a component's cuts, each the set of the
-    vectors swept so far: "subspace" when a cut U has |U| != p^rank U,
-    else "bracket" when a basis vector x has [x, e] or [e, x] off the
-    cut it enters for a carrier basis vector e, else None."""
+    """The first clause that a component's cuts (the vectors swept so far)
+    break: "subspace" when a cut is not its span, else "bracket" when [x, e]
+    or [e, x] is off the cut, for x growing the span and e a basis vector,
+    else None."""
+    index = _carrier_bits(alg.field.p, alg.dim)[0]
     basis = [alg.basis(j) for j in range(alg.dim)]
-    span = SpanBuilder(alg.field, alg.dim)
-    cut: set[Vector] = set()
-    absorbs = True
+    cut, span, absorbs = 0, 1, True  # bit 0 is the zero vector
     for _, xs in steps:
-        cut.update(xs)
-        gained = [x for x in xs if span.add(x)]
-        if len(cut) != alg.field.p ** span.rank:
+        cut |= sum(1 << index[x] for x in xs)
+        span, gained = _grow(alg, span, xs)
+        if cut != span:
             return "subspace"
-        absorbs = absorbs and all(
-            {bracket_eval(alg, x, e), bracket_eval(alg, e, x)} <= cut for x in gained for e in basis
-        )
+        brackets = (bracket_eval(alg, *xy) for x in gained for e in basis for xy in ((x, e), (e, x)))
+        absorbs = absorbs and all(cut >> index[g] & 1 for g in brackets)
     return None if absorbs else "bracket"
 
 
@@ -463,10 +459,9 @@ def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...], scale
 
 def _sum_component(alg: Superalgebra, steps) -> list:
     """One component of A + B as ranks, carrier order: each x takes the
-    first rank t along ``steps`` whose sumset A_t + B_t holds it.  Cuts
-    and sumsets are carrier bitsets; the sumset grows by B_t translated
-    by each vector new in A and by A's earlier cut translated by each
-    vector new in B."""
+    first rank t along ``steps`` whose sumset A_t + B_t holds it.  The
+    sumset grows by B_t translated by each vector new in A and by A's
+    earlier cut translated by each vector new in B."""
     index, coords = _carrier_bits(alg.field.p, alg.dim)
     full = (1 << len(index)) - 1
     column = [0] * len(index)
@@ -485,10 +480,7 @@ def _sum_component(alg: Superalgebra, steps) -> list:
             cut_a |= sum(1 << index[a] for a in new_a)
             fresh = grown ^ reached
         reached |= fresh
-        while fresh:
-            n = fresh.bit_length() - 1
-            column[n] = t
-            fresh ^= 1 << n
+        _label(column, fresh, t)
         if reached == full:
             break
     return column
@@ -518,6 +510,31 @@ def _translate(bits: int, a: Vector, coords: tuple) -> int:
             keep = bits & low[c]
             bits = (keep << c * stride) | ((bits ^ keep) >> (len(low) - c) * stride)
     return bits
+
+
+def _grow(alg: Superalgebra, span: int, xs) -> tuple[int, list[Vector]]:
+    """The span of a subspace bitset and xs, and the xs that grew it: an
+    x off the span ORs in its translates by x, 2x, ..., (p-1)x."""
+    index, coords = _carrier_bits(alg.field.p, alg.dim)
+    gained = []
+    for x in xs:
+        if not span >> index[x] & 1:
+            gained.append(x)
+            coset = span
+            for _ in range(1, alg.field.p):
+                coset = _translate(coset, x, coords)
+                span |= coset
+            if span.bit_count() == len(index):
+                break
+    return span, gained
+
+
+def _label(column: list, fresh: int, t: int) -> None:
+    """Give rank t to the vectors of the bitset ``fresh`` in ``column``."""
+    while fresh:
+        n = fresh.bit_length() - 1
+        column[n] = t
+        fresh ^= 1 << n
 
 
 def intersection(A: CIFSet, B: CIFSet) -> CIFSet:

@@ -1,9 +1,11 @@
 """Random workspace and document generators shared by parser tests,
-unpinned chain-valued tables for the bracket's chain tests, and a
-rebinding helper for tests that swap out a ciflie function."""
+unpinned chain-valued tables for the bracket's chain tests, a rebinding
+helper for tests that swap out a ciflie function, and source mutants
+for tests that show a broken function is caught."""
 
 from __future__ import annotations
 
+import inspect
 import random
 import string
 import sys
@@ -125,3 +127,13 @@ def rebind_everywhere(original, replacement, setattr_) -> None:
         for attr, value in list(vars(module).items()):
             if value is original:
                 setattr_(module, attr, replacement)
+
+
+def source_mutant(function, old: str, new: str):
+    """``function`` with one piece of its source replaced, compiled in a
+    copy of its module's namespace."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]

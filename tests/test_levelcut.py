@@ -44,15 +44,16 @@ from ciflie import (
     run_cli,
     serialize,
     space_vectors,
+    span_closure,
     superalgebra_from_pairs,
     trivial_cifset,
     validate_superalgebra,
 )
-from ciflie.cifset import COMPONENTS, _carrier_bits, _subspace_witness, _translate, rank_encode
+from ciflie.cifset import COMPONENTS, _carrier_bits, _grow, _subspace_witness, _translate, rank_encode
 from ciflie.generators import gen_pair, gen_random_table, make_config
 from ciflie.specfile import Workspace, WorkspaceSet
 from ciflie.superalgebra import vec_add
-from helpers import chain_table
+from helpers import chain_table, source_mutant
 from oracles import (
     fiber_image,
     fixpoint_bracket_product,
@@ -309,31 +310,24 @@ def test_l4_cut_operations(L4, monkeypatch):
     assert check_theorem("lem-3", make_config(1, L4), 2).passed
 
 
-CUT_SPANS = bracket_module._cut_spans
+COMPONENT = bracket_module._component
+WITHOUT_OLD_A_NEW_B = source_mutant(
+    COMPONENT, "brackets += [bracket_eval(alg, a, b) for a in basis_a for b in new_b]", "pass"
+)
 
 
 def _drop_top_threshold(alg, steps):
-    yield from CUT_SPANS(alg, list(steps)[1:])
+    return COMPONENT(alg, list(steps)[1:])
 
 
 def _skip_old_a_new_b(alg, steps):
-    """The cut kernel without the [old basis_A, new basis_B] brackets."""
-    span_a = SpanBuilder(alg.field, alg.dim)
-    span_b = SpanBuilder(alg.field, alg.dim)
-    out = SpanBuilder(alg.field, alg.dim)
-    basis_b = []
-    for t, group_a, group_b in steps:
-        new_a = [a for a in group_a if span_a.add(a)]
-        basis_b += [b for b in group_b if span_b.add(b)]
-        for a in new_a:
-            for b in basis_b:
-                out.add(bracket_eval(alg, a, b))
-        yield t, out
+    """The bracket kernel without the [old basis_A, new basis_B] brackets."""
+    return WITHOUT_OLD_A_NEW_B(alg, steps)
 
 
 @pytest.mark.parametrize("mutant", [_drop_top_threshold, _skip_old_a_new_b])
 def test_mutated_cut_kernel_is_caught(H, L3, monkeypatch, mutant):
-    monkeypatch.setattr(bracket_module, "_cut_spans", mutant)
+    monkeypatch.setattr(bracket_module, "_component", mutant)
     caught = 0
     for alg in (H, L3):
         for seed in range(10):
@@ -342,6 +336,21 @@ def test_mutated_cut_kernel_is_caught(H, L3, monkeypatch, mutant):
                 got, want = bracket_product(X, Y), quadratic_bracket_product(X, Y)
                 if first_difference(got, want) is not None:
                     caught += 1
+    assert caught > 0
+
+
+def test_mutated_cut_clauses_are_caught(H, L3, monkeypatch):
+    """A cut is a subspace when it equals its span; a ``_cut_clauses``
+    whose test ``cut & ~span`` is never true passes every cut, and the
+    pairwise predicates tell it apart on random tables."""
+    mutant = source_mutant(cifset_module._cut_clauses, "cut != span", "cut & ~span")
+    monkeypatch.setattr(cifset_module, "_cut_clauses", mutant)
+    caught = 0
+    for alg in (H, L3):
+        for seed in range(6):
+            S = random_table(alg, random.Random(seed))
+            caught += is_cif_subspace(S) != quadratic_is_cif_subspace(S)
+            caught += is_cif_ideal(S) != quadratic_is_cif_ideal(S)
     assert caught > 0
 
 
@@ -713,6 +722,27 @@ def test_translate_is_vector_addition(p, dim):
         some = rng.sample(vectors, len(vectors) // 2)
         bits = sum(1 << index[x] for x in some)
         assert _translate(bits, a, coords) == sum(1 << index[vec_add(p, x, a)] for x in some)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 3), (5, 2)])
+def test_grow_is_span_closure(p, dim):
+    """From the zero subspace, and again from the span of a first batch,
+    ``_grow`` gives the bitset of the span of random generators (zero and
+    repeats among them), and gains exactly the generators that raise a
+    ``SpanBuilder``'s rank, in order."""
+    alg = abelian(p, dim)
+    index = _carrier_bits(p, dim)[0]
+    vectors = space_vectors(alg)
+    rng = random.Random(p * 10 + dim)
+    for _ in range(30):
+        gens = [rng.choice(vectors) for _ in range(rng.randint(0, 2 * dim + 1))]
+        builder = SpanBuilder(alg.field, dim)
+        span, gained = 1, []
+        for batch in (gens[: len(gens) // 2], gens[len(gens) // 2 :]):
+            span, new = _grow(alg, span, batch)
+            gained += new
+        assert span == sum(1 << index[x] for x in span_closure(alg, gens).members())
+        assert gained == [x for x in gens if builder.add(x)]
 
 
 @pytest.mark.parametrize("p, dim", [(2, 3), (5, 2)])

@@ -32,14 +32,15 @@ from ciflie import (
     superalgebra_from_pairs,
     validate_superalgebra,
 )
-from ciflie.cifset import from_columns, rank_encode, rank_steps
-from helpers import rebind_everywhere
+from ciflie.cifset import _label, from_columns, rank_encode, rank_steps
+from helpers import rebind_everywhere, source_mutant
 from oracles import fixpoint_bracket_product, quadratic_bracket_product
 
 PAIR_KINDS = ("set", "subspace", "graded", "ideal")
 SPAN_NAMES = {
-    "SpanBuilder", "SubspaceBasis", "span_closure", "_cut_spans", "rank_encode", "rank_steps",
-    "from_columns", "per_split", "_carrier_bits", "_translate", "_achievable", "_clashing_keys",
+    "SpanBuilder", "SubspaceBasis", "span_closure", "_component", "_grow", "_label", "rank_encode",
+    "rank_steps", "from_columns", "per_split", "_carrier_bits", "_translate", "_achievable",
+    "_clashing_keys",
 }
 
 
@@ -56,17 +57,23 @@ def seeded_pairs(alg, count):
     return pairs
 
 
+def _differs(reference, oracle, A, B) -> bool:
+    """Whether the oracle under test gives another table than the
+    reference, or raises."""
+    want = reference(A, B)
+    try:
+        got = oracle(A, B)
+    except Exception:
+        return True
+    return first_difference(want, got) is not None
+
+
 def ladder_mismatches(oracle, pairs):
-    return sum(
-        first_difference(bracket_product(A, B), oracle(A, B)) is not None for A, B in pairs
-    )
+    return sum(_differs(bracket_product, oracle, A, B) for A, B in pairs)
 
 
 def fixpoint_mismatches(oracle, pairs):
-    return sum(
-        first_difference(fixpoint_bracket_product(A, B), oracle(A, B)) is not None
-        for A, B in pairs
-    )
+    return sum(_differs(fixpoint_bracket_product, oracle, A, B) for A, B in pairs)
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +96,6 @@ def test_fixpoint_agrees_with_oracle_and_ladder(fixpoint_pairs):
     assert fixpoint_mismatches(bracket_product, fixpoint_pairs) == 0
 
 
-def _mutant(old: str, new: str):
-    """``bracket_product_oracle`` with one piece of its source replaced."""
-    source = inspect.getsource(bracket_module.bracket_product_oracle)
-    assert source.count(old) == 1
-    namespace = dict(vars(bracket_module))
-    exec(source.replace(old, new), namespace)
-    return namespace["bracket_product_oracle"]
-
-
 MUTANTS = {
     # each bracket keeps its own seed: no coset is ever added
     "seeds-only": (
@@ -116,12 +114,16 @@ MUTANTS = {
     "dropped-coefficient": (
         "enumerate(bracket_eval(alg, e, f))", "enumerate(bracket_eval(alg, e, f)) if k"
     ),
+    # the scan of B stops after the first bracket of each row
+    "first-bracket-only": ("if len(top) == count:", "if True:"),
+    # each split's column decoded through another component's levels
+    "reversed-columns": ("for c in reps)))", "for c in reps[::-1])))"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_broken_oracles_are_caught(cross_check_pairs, fixpoint_pairs, name):
-    broken = _mutant(*MUTANTS[name])
+    broken = source_mutant(bracket_module.bracket_product_oracle, *MUTANTS[name])
     assert ladder_mismatches(broken, cross_check_pairs) > 0
     assert fixpoint_mismatches(broken, fixpoint_pairs) > 0
 
@@ -211,20 +213,27 @@ def _derived_rank(alg) -> int:
     return span_closure(alg, [bracket_eval(alg, x, y) for x in basis for y in basis]).rank
 
 
-def _reaches_full_carrier(A, B) -> bool:
-    """Whether some component's cut span becomes the whole carrier, the
-    exit at which the ladder has valued every vector."""
+def _reaches_full_carrier(A, B, monkeypatch) -> bool:
+    """Whether some component's output span becomes the whole carrier,
+    the exit at which the ladder has valued every vector: the bits
+    ``_label`` sets during one ``_component`` run are its span."""
     alg = A.space
     _, groups = rank_encode(A, B)
-    return any(
-        span.rank == alg.dim
-        for c in range(4)
-        for _, span in bracket_module._cut_spans(alg, rank_steps(c, *groups))
-    )
+    labelled = []
+
+    def recording(column, fresh, t):
+        labelled[-1] |= fresh
+        _label(column, fresh, t)
+
+    monkeypatch.setattr(bracket_module, "_label", recording)
+    for c in range(4):
+        labelled.append(0)
+        bracket_module._component(alg, rank_steps(c, *groups))
+    return (1 << len(space_vectors(alg))) - 1 in labelled
 
 
 @pytest.mark.parametrize(("name", "derived", "quadratic_every"), [("sl2", 3, 1), ("C2", 2, 4)])
-def test_keystone_on_larger_derived_algebras(request, name, derived, quadratic_every):
+def test_keystone_on_larger_derived_algebras(request, monkeypatch, name, derived, quadratic_every):
     """Every other algebra brackets into a derived algebra of rank at
     most 1; here the ladder's output spans reach rank 2 and 3.  The
     quadratic reference costs about 0.2 s a pair on C2, so it checks
@@ -239,7 +248,7 @@ def test_keystone_on_larger_derived_algebras(request, name, derived, quadratic_e
         if i % quadratic_every == 0:
             assert first_difference(K, quadratic_bracket_product(A, B)) is None
     if name == "sl2":
-        assert all(_reaches_full_carrier(A, B) for A, B in pairs)
+        assert all(_reaches_full_carrier(A, B, monkeypatch) for A, B in pairs)
 
 
 def _table(alg, rng, degree):

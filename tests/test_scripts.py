@@ -1,10 +1,13 @@
 """The experiment drivers under scripts/ run end to end at a tiny size."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from ciflie import Report
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +53,9 @@ def test_time_kernels_on_h():
     ] + [
         ("palette", "bracket_product_oracle"), ("per-vector", "bracket_product_oracle"),
         ("palette", "parse_spec"), ("per-vector", "parse_spec"), ("algebra", "validate_superalgebra"),
-        ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
+        ("subspace", "is_cif_subspace"), ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
     ]
+    # both predicate rows time a passing check
+    passing = hashlib.sha256(repr(Report(True)).encode()).hexdigest()[:16]
+    assert [r["digest"] for r in rows if r["operation"].startswith("is_cif")] == [passing] * 2
     assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)
