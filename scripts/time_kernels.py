@@ -19,8 +19,18 @@ subspace pair's first set and ``is_cif_ideal`` of a generated ideal
 (both pass: a failing check rescans |V|^2 pairs for its witness, about
 20 s on F5^5), and ``image`` of the palette and per-vector tables under
 a fixed grading-preserving map that is neither injective nor surjective.
+Last come the degree layer's steps: ``Degree`` construction of every
+distinct membership and non-membership part of the per-vector pair,
+``make_config`` (one generated degree pool) and ``rank_encode`` of each
+input pair.
+
+With ``--write-spec DIR`` nothing is timed: the palette and per-vector
+workspaces that the ``parse_spec`` rows parse are written to DIR as
+``<algebra>-<kind>.spec`` (``^`` in the algebra name becomes ``_``),
+one path printed per file, for timing ``ciflie`` commands on them.
 
     PYTHONPATH=src python3 scripts/time_kernels.py --algebras H,L5 --repeat 5
+    PYTHONPATH=src python3 scripts/time_kernels.py --algebras F5^5 --write-spec /tmp/specs
 """
 
 import argparse
@@ -30,9 +40,11 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from ciflie import (
     EMPTY,
+    Degree,
     GradedMap,
     PrimeField,
     Workspace,
@@ -53,7 +65,7 @@ from ciflie import (
     superalgebra_from_pairs,
     validate_superalgebra,
 )
-from ciflie.cifset import table_fingerprint
+from ciflie.cifset import rank_encode, table_fingerprint
 from ciflie.specfile import WorkspaceSet
 
 OPERATIONS = {"cif_sum": cif_sum, "bracket_product": bracket_product}
@@ -142,6 +154,12 @@ def cases(name: str, alg):
     for kind in ("palette", "per-vector"):
         A = tables[kind][0]
         yield kind, "image", lambda A=A: image(m, A), table_fingerprint
+    parts = list(dict.fromkeys(q for S in tables["per-vector"] for d in S.table.values() for q in (d.mem, d.non)))
+    yield "per-vector", "Degree", lambda: [Degree(q.r, q.w) for q in parts], repr
+    yield "pool", "make_config", lambda: make_config(0, alg), lambda cfg: repr(cfg.degree_pool)
+    for kind in KINDS:
+        A, B = tables[kind]
+        yield kind, "rank_encode", lambda A=A, B=B: rank_encode(A, B), repr
 
 
 def best_of(repeat: int, call):
@@ -157,12 +175,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--algebras", default="H,L3,L5,L4,F5^5", help="comma-separated subset of H,L3,L5,L4,F5^5")
     parser.add_argument("--repeat", type=int, default=3, help="calls per operation; the best is reported")
+    parser.add_argument("--write-spec", metavar="DIR", type=Path, help="write the palette and per-vector spec files, time nothing")
     args = parser.parse_args()
     known = algebras()
     names = args.algebras.split(",")
     unknown = [n for n in names if n not in known]
     if unknown or args.repeat < 1:
         parser.error(f"unknown algebra {unknown[0]}" if unknown else "--repeat must be at least 1")
+    if args.write_spec:
+        args.write_spec.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            alg = known[name]
+            for kind in ("palette", "per-vector"):
+                path = args.write_spec / f"{name.replace('^', '_')}-{kind}.spec"
+                path.write_text(spec_text(alg, *inputs(name, alg, kind)))
+                print(path, flush=True)
+        return 0
     for name in names:
         alg = known[name]
         for kind, op_name, call, render in cases(name, alg):

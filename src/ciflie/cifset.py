@@ -12,9 +12,10 @@ component c has upper cuts {x : c(x) >= t}, swept in descending t; a
 non-membership component has lower cuts {x : c(x) <= t}, swept in
 ascending t.  The thresholds are the values the inputs take, ranked
 once per operation (``rank_encode``): sweeps, caps and row keys work on
-int ranks, and each distinct result row is decoded once.  The sum, the
-bracket product and the subspace and ideal predicates run their kernel
-once per distinct level split (``per_split``): a component is fixed by
+int ranks, and each distinct result row is decoded once, or reuses the
+input degree it keys (``from_columns``).  The sum, the bracket product
+and the subspace and ideal predicates run their kernel once per
+distinct level split (``per_split``): a component is fixed by
 its cuts, and two components with the same levels, rank 0 in both or in
 neither, have the same ranks.  Every result equals its pairwise
 definition, for these reasons:
@@ -207,7 +208,7 @@ COMPONENTS = (
 )
 
 
-def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], list[dict]]:
+def rank_encode(*sets: CIFSet) -> tuple[list, list[dict]]:
     """Rank-encode the degrees that the given sets take, for one operation.
 
     Per component, the distinct values and the off value are keyed by
@@ -218,7 +219,9 @@ def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], list[dict]]:
     breaks only float ties.  Values are ranked so that a better value (a
     larger membership, a smaller non-membership) has a higher rank and
     the off value has rank 0.  Returns the four scales (rank -> value)
-    and per set its vectors grouped by rank key, their degree's ranks.
+    followed by the input degrees keyed by their rank tuples, which
+    ``from_columns`` may reuse, and per set its vectors grouped by rank
+    key, their degree's ranks.
     """
     by_degree = []
     for S in sets:
@@ -227,16 +230,20 @@ def rank_encode(*sets: CIFSet) -> tuple[list[list[Fraction]], list[dict]]:
             groups.setdefault(d, []).append(x)
         by_degree.append(groups)
     degrees = list({d: None for groups in by_degree for d in groups})
+    quads = [(d.mem.r, d.mem.w, d.non.r, d.non.w) for d in degrees]
     scales, ranks = [], []
-    for side, attr, descending, off in COMPONENTS:
-        values = [getattr(getattr(d, side), attr) for d in degrees]
-        pairs = [q.as_integer_ratio() for q in values]
-        distinct = {off.as_integer_ratio(): off, **dict(zip(pairs, values))}
+    for (_, _, descending, off), column in zip(COMPONENTS, zip(*quads)):
+        distinct = {q.as_integer_ratio(): q for q in (off, *column)}
         order = sorted(distinct, key=lambda k: (k[0] / k[1], distinct[k]), reverse=not descending)
-        rank = {k: i for i, k in enumerate(order)}
         scales.append([distinct[k] for k in order])
-        ranks.append([rank[k] for k in pairs])
-    key_of = dict(zip(degrees, zip(*ranks)))
+        ranks.append({k: i for i, k in enumerate(order)})
+    mr, mw, nr, nw = ranks
+    keys = [
+        (mr[a.as_integer_ratio()], mw[b.as_integer_ratio()], nr[c.as_integer_ratio()], nw[e.as_integer_ratio()])
+        for a, b, c, e in quads
+    ]
+    key_of = dict(zip(degrees, keys))
+    scales.append(dict(zip(keys, degrees)))
     return scales, [{key_of[d]: xs for d, xs in g.items()} for g in by_degree]
 
 
@@ -273,12 +280,17 @@ def _cut_clauses(alg: Superalgebra, steps) -> str | None:
     """The first clause that a component's cuts (the vectors swept so far)
     break: "subspace" when a cut is not its span, else "bracket" when [x, e]
     or [e, x] is off the cut, for x growing the span and e a basis vector,
-    else None."""
+    else None.  The cut that the last vectors join is the carrier."""
     index = _carrier_bits(alg.field.p, alg.dim)[0]
     basis = [alg.basis(j) for j in range(alg.dim)]
-    cut, span, absorbs = 0, 1, True  # bit 0 is the zero vector
+    cut, span, absorbs, swept = 0, 1, True, 0  # bit 0 is the zero vector
     for _, xs in steps:
-        cut |= sum(1 << index[x] for x in xs)
+        swept += len(xs)
+        if swept == len(index):
+            cut = (1 << len(index)) - 1
+        else:
+            for x in xs:
+                cut |= 1 << index[x]
         span, gained = _grow(alg, span, xs)
         if cut != span:
             return "subspace"
@@ -427,9 +439,16 @@ def cif_sum(A: CIFSet, B: CIFSet) -> CIFSet:
 def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...], scales: list) -> CIFSet:
     """The CIF set whose four components (mem r, mem w, non r, non w)
     are the given columns of ranks, each listed in carrier order and
-    decoded through its scale (rank -> value).  Rows are keyed by their
-    rank tuples; one CIFDegree is built per distinct row and shared by
-    the vectors that take it, and one Degree per distinct rank pair.
+    decoded through its scale (rank -> value).  ``scales`` is what
+    ``rank_encode`` returns: the four scales, then the input degrees
+    keyed by their rank tuples.  One CIFDegree serves each distinct
+    row, shared by the vectors that take it.  A row that keys an input
+    degree whose four Fractions are the very scale entries the row
+    decodes to (``is``, not ``==``) reuses that degree: it equals what
+    the scales decode, so the result is the same set whatever the
+    scales hold, and wrong scales still decode to wrong values.  Every
+    other row is built from the scales, with one Degree per distinct
+    rank pair.
 
     The sum, the bracket product and the image keep the budget mem.r +
     non.r <= 1, so the CIFDegree check never fires on their results.
@@ -443,16 +462,19 @@ def from_columns(alg: Superalgebra, columns: list, notes: tuple[str, ...], scale
     no decomposition (outside every bracket cut, off the image) has
     mem.r = 0.
     """
-    mr, mw, nr, nw = scales
+    mr, mw, nr, nw, inputs = scales
     shared: dict[tuple, CIFDegree] = {}
     mems, nons, table = {}, {}, {}
     for x, row in zip(space_vectors(alg), zip(*columns)):
         d = shared.get(row)
         if d is None:
             a, b, c, e = row
-            mem = mems.get((a, b)) or mems.setdefault((a, b), Degree(mr[a], mw[b]))
-            non = nons.get((c, e)) or nons.setdefault((c, e), Degree(nr[c], nw[e]))
-            d = shared[row] = CIFDegree(mem, non)
+            d = inputs.get(row)
+            if d is None or not (d.mem.r is mr[a] and d.mem.w is mw[b] and d.non.r is nr[c] and d.non.w is nw[e]):
+                mem = mems.get((a, b)) or mems.setdefault((a, b), Degree(mr[a], mw[b]))
+                non = nons.get((c, e)) or nons.setdefault((c, e), Degree(nr[c], nw[e]))
+                d = CIFDegree(mem, non)
+            shared[row] = d
         table[x] = d
     return CIFSet(alg, table, notes)
 
@@ -471,13 +493,13 @@ def _sum_component(alg: Superalgebra, steps) -> list:
         if members > len(index):
             fresh = full ^ reached
         else:
-            cut_b |= sum(1 << index[b] for b in new_b)
             grown = reached
+            for b in new_b:
+                cut_b |= 1 << index[b]
+                grown |= _translate(cut_a, b, coords)
             for a in new_a:
                 grown |= _translate(cut_b, a, coords)
-            for b in new_b:
-                grown |= _translate(cut_a, b, coords)
-            cut_a |= sum(1 << index[a] for a in new_a)
+                cut_a |= 1 << index[a]
             fresh = grown ^ reached
         reached |= fresh
         _label(column, fresh, t)

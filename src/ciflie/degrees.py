@@ -8,12 +8,18 @@ infs of finite families are componentwise maxima/minima.
 Everything is a Fraction.  Floats would turn the downstream theorem
 checks into tolerance games, so they are rejected at construction.
 
-Every degree is validated on its numerator and denominator ints when
-it is built, and hashed then, once: the kernels group vectors by degree,
-then sort and key the int ranks of the distinct values.  Where results
-are built, equal values share one object: the parser and
-``from_columns`` build one degree per distinct value, and a meet or join
-whose argument dominates the other returns that argument.
+Every degree is validated on the numerator and denominator ints of its
+components when it is built, and hashed then, once, as the int tuple
+(r numerator, r denominator, w numerator, w denominator); a CIFDegree
+hashes the pair of its two parts' hashes.  Fractions are kept reduced
+with a positive denominator, so equal degrees have equal tuples and hash
+alike, and no Fraction hash (a modular inverse) is taken.  The kernels
+group vectors by degree, then sort and key the int ranks of the distinct
+values.  Where results are built, equal values share one object: the
+parser builds one degree per distinct value, ``from_columns`` one per
+distinct result row, reusing an input degree when its components are the
+scale entries it decodes to, and a meet or join whose argument dominates
+the other returns that argument.
 """
 
 from __future__ import annotations
@@ -32,13 +38,6 @@ def as_rational(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
-def _unit_interval(value: RatLike, what: str) -> Fraction:
-    q = value if type(value) is Fraction else as_rational(value)
-    if q.numerator < 0 or q.numerator > q.denominator:
-        raise ValueError(f"{what} must lie in [0, 1], got {q}")
-    return q
-
-
 @dataclass(frozen=True)
 class Degree:
     """Amplitude-phase pair, both components exact rationals in [0, 1]."""
@@ -47,9 +46,18 @@ class Degree:
     w: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _unit_interval(self.r, "amplitude"))
-        object.__setattr__(self, "w", _unit_interval(self.w, "phase"))
-        object.__setattr__(self, "_hash", hash((self.r, self.w)))
+        r = self.r if type(self.r) is Fraction else as_rational(self.r)
+        rn, rd = r.as_integer_ratio()
+        if rn < 0 or rn > rd:
+            raise ValueError(f"amplitude must lie in [0, 1], got {r}")
+        w = self.w if type(self.w) is Fraction else as_rational(self.w)
+        wn, wd = w.as_integer_ratio()
+        if wn < 0 or wn > wd:
+            raise ValueError(f"phase must lie in [0, 1], got {w}")
+        if r is not self.r or w is not self.w:
+            object.__setattr__(self, "r", r)
+            object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_hash", hash((rn, rd, wn, wd)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,7 +111,7 @@ class CIFDegree:
                 "amplitude budget exceeded: "
                 f"{self.mem.r} + {self.non.r} > 1"
             )
-        object.__setattr__(self, "_hash", hash((self.mem, self.non)))
+        object.__setattr__(self, "_hash", hash((self.mem._hash, self.non._hash)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -124,6 +132,9 @@ def rat_str(q: Fraction) -> str:
 
 
 def cif_degree(mr: RatLike, mw: RatLike, nr: RatLike, nw: RatLike) -> CIFDegree:
-    """Shorthand constructor used by tests, generators and the parser."""
+    """Shorthand constructor from four rationals (ints, 'num/den'
+    strings or Fractions), used by the random-table generator, scripts
+    and tests.  The spec parser builds its degrees from parsed Fractions
+    directly."""
     return CIFDegree(Degree(as_rational(mr), as_rational(mw)),
                      Degree(as_rational(nr), as_rational(nw)))

@@ -57,22 +57,27 @@ def make_degree_pool(rng: random.Random, length: int) -> tuple[CIFDegree, ...]:
     rs = sorted(rng.sample(range(1, _POOL_GRID), length))
     ws = sorted(rng.sample(range(1, _POOL_GRID), length))
     whs = sorted(rng.sample(range(1, _POOL_GRID), length), reverse=True)
-    shrink = Fraction(rng.randrange(1, _POOL_GRID), _POOL_GRID)
-    pool = []
-    for i in range(length):
-        r = Fraction(rs[i], _POOL_GRID)
-        w = Fraction(ws[i], _POOL_GRID)
-        rh = (1 - r) * shrink
-        wh = Fraction(whs[i], _POOL_GRID)
-        pool.append(CIFDegree(Degree(r, w), Degree(rh, wh)))
-    return tuple(pool)
+    shrink = rng.randrange(1, _POOL_GRID)  # non r = (1 - mem r) * shrink / grid
+    return tuple(
+        CIFDegree(
+            Degree(Fraction(r, _POOL_GRID), Fraction(w, _POOL_GRID)),
+            Degree(Fraction((_POOL_GRID - r) * shrink, _POOL_GRID**2), Fraction(wh, _POOL_GRID)),
+        )
+        for r, w, wh in zip(rs, ws, whs)
+    )
+
+
+def _below(x: Fraction, y: Fraction) -> bool:
+    """x < y, cross-multiplied: Fractions keep positive denominators."""
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    return a * d < c * b
 
 
 def _check_pool_chain(pool: tuple[CIFDegree, ...]) -> None:
     for lo, hi in zip(pool, pool[1:]):
-        if not (lo.mem.r < hi.mem.r and lo.mem.w < hi.mem.w):
+        if not (_below(lo.mem.r, hi.mem.r) and _below(lo.mem.w, hi.mem.w)):
             raise ValueError("pool memberships must strictly increase")
-        if not (lo.non.r > hi.non.r and lo.non.w > hi.non.w):
+        if not (_below(hi.non.r, lo.non.r) and _below(hi.non.w, lo.non.w)):
             raise ValueError("pool non-memberships must strictly decrease")
 
 

@@ -18,11 +18,13 @@ skew-symmetry, and grading and Jacobi are untouched.  Semantic checks
 and carry line numbers.  Algebra axioms and map conditions are not load
 errors; they are what ``validate`` reports.
 
-Each parse keeps three memos, so it pays once per distinct token: a
-coordinate token's int mod p, a rational token's Fraction, and a tuple
-of four degree tokens' CIFDegree, shared by the lines that repeat it.
-A memo fills on a token's first line, so a bad token fails there and
-the first error in file order is the one reported.
+Each parse keeps two memos: a coordinate token's int mod p, and a
+tuple of four degree tokens' CIFDegree, shared by the lines that repeat
+it.  A distinct tuple is decoded once, its four rationals straight into
+the degree checks; a coordinate token is read once, as a vector's tuple
+of tokens recurs only once per set while its tokens recur on nearly
+every line.  A memo fills on its key's first line, so a bad token fails
+there and the first error in file order is the one reported.
 """
 
 from __future__ import annotations
@@ -75,18 +77,14 @@ class Workspace:
 
 
 def _parse_rational(token: str, line: int, what: str) -> Fraction:
+    num_s, slash, den_s = token.partition("/")
     try:
-        if "/" in token:
-            num_s, den_s = token.split("/", 1)
-            num, den = int(num_s), int(den_s)
-            if den <= 0:
-                raise ValueError
-            value = Fraction(num, den)
-        else:
-            value = Fraction(int(token))
-    except (ValueError, ZeroDivisionError):
+        num, den = int(num_s), int(den_s) if slash else 1
+        if den <= 0:
+            raise ValueError
+    except ValueError:
         raise SpecError(line, f"{what}: '{token}' is not a rational") from None
-    return value
+    return Fraction(num, den)
 
 
 def _parse_int(token: str, line: int, what: str) -> int:
@@ -125,7 +123,6 @@ class _Loader:
         self.targets: dict[str, tuple[int, dict[Vector, CIFDegree]]] = {}  # set -> (dim, entries)
         self.map_decls: dict[str, tuple[str, str, str, tuple[Vector, ...]]] = {}
         self.coords: _Memo | None = None  # made by stmt_field, closing over p only (no cycle)
-        self.rationals = _Memo(lambda t, line: _parse_rational(t, line, "degree component"))
         self.degrees: dict[tuple[str, ...], CIFDegree] = {}
 
     def _degree(self, tokens: list[str], line: int) -> CIFDegree:
@@ -133,8 +130,7 @@ class _Loader:
         key = tuple(tokens)
         degree = self.degrees.get(key)
         if degree is None:
-            self.rationals.line = line
-            mr, mw, nr, nw = map(self.rationals.__getitem__, key)
+            mr, mw, nr, nw = [_parse_rational(t, line, "degree component") for t in key]
             try:
                 degree = CIFDegree(Degree(mr, mw), Degree(nr, nw))
             except ValueError as exc:

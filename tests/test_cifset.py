@@ -446,3 +446,31 @@ def test_operations_refuse_sets_they_cannot_take(H, L3, build, message):
     with pytest.raises(ValueError) as info:
         build(H, L3)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_from_columns_decodes_through_the_scales_it_is_given(L3, seed):
+    """A result row reuses an input degree only when the degree's four
+    Fractions are the scale entries themselves.  Scales with the same
+    ranks but other values (halved), or equal values in other objects,
+    decode to their own values and reuse nothing."""
+    A, B = gen_pair(make_config(seed, L3), kind="subspace")
+    scales, groups = cifset_module.rank_encode(A, B)
+    columns = cifset_module.per_split(cifset_module._sum_component, L3, groups)
+    inputs = {id(d) for S in (A, B) for d in S.table.values()}
+    rows = dict(zip(space_vectors(L3), zip(*columns)))
+
+    def decoded(values):
+        return {x: cif_degree(*(v[k] for v, k in zip(values, row))) for x, row in rows.items()}
+
+    reference = cifset_module.from_columns(L3, columns, (), scales)
+    assert reference == cif_sum(A, B) and reference.table == decoded(scales)
+    assert any(id(d) in inputs for d in reference.table.values())
+    halved = [[q / 2 for q in scale] for scale in scales[:4]]
+    copied = [[Fraction(q.numerator, q.denominator) for q in scale] for scale in scales[:4]]
+    for values in (halved, copied):
+        result = cifset_module.from_columns(L3, columns, (), [*values, scales[4]])
+        assert result.table == decoded(values)
+        assert not any(id(d) in inputs for d in result.table.values())
+    assert cifset_module.from_columns(L3, columns, (), [*copied, scales[4]]) == reference
+    assert cifset_module.from_columns(L3, columns, (), [*halved, scales[4]]) != reference

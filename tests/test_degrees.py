@@ -170,7 +170,7 @@ def test_equal_degrees_built_differently_share_hash_and_key():
         assert d.mem == built.mem and hash(d.mem) == hash(built.mem)
         assert {built: "key", built.mem: "mem"}[d] == "key"
         assert {built.mem: "mem"}[d.mem] == "mem"
-    assert hash(built.mem) == hash((Fraction(1, 2), Fraction(1)))
+    assert hash(built.mem) == hash((1, 2, 1, 1))
 
 
 def test_repr_fields_and_replace_are_unchanged():
@@ -197,3 +197,36 @@ def test_meet_join_are_componentwise_and_return_a_dominating_argument(a, b):
     assert join == Degree(max(a.r, b.r), max(a.w, b.w))
     if deg_leq(a, b) or deg_leq(b, a):
         assert any(meet is d for d in (a, b)) and any(join is d for d in (a, b))
+
+
+@given(
+    n=st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30)),
+    d=st.one_of(st.integers(1, 40), st.integers(1, 10**30)),
+    form=st.sampled_from(["Fraction", "int", "str"]),
+    amplitude=st.booleans(),
+)
+def test_degree_accepts_exactly_the_unit_interval(n, d, form, amplitude):
+    """Whatever the input type, a component is accepted exactly when it
+    lies in [0, 1], stored as a Fraction and hashed by value; otherwise
+    the ValueError names the component and its reduced value."""
+    q = Fraction(n) if form == "int" else Fraction(n, d)
+    value = {"Fraction": q, "int": n, "str": f"{n}/{d}"}[form]
+    args = (value, Fraction(1, 2)) if amplitude else (Fraction(1, 2), value)
+    if 0 <= q <= 1:
+        built = Degree(*args)
+        got = built.r if amplitude else built.w
+        assert got == q and type(got) is Fraction
+        same = Degree(*((q, Fraction(1, 2)) if amplitude else (Fraction(1, 2), q)))
+        assert built == same and hash(built) == hash(same)
+        return
+    with pytest.raises(ValueError) as caught:
+        Degree(*args)
+    what = "amplitude" if amplitude else "phase"
+    assert str(caught.value) == f"{what} must lie in [0, 1], got {q}"
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True), amplitude=st.booleans())
+def test_degree_refuses_every_float(x, amplitude):
+    with pytest.raises(TypeError) as caught:
+        Degree(x, 0) if amplitude else Degree(0, x)
+    assert str(caught.value) == "degrees are exact: floats are not accepted"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -175,9 +176,49 @@ def test_crisp_ideal_closure_is_an_ideal(H, L3):
             ),
             "pool non-memberships must strictly decrease",
         ),
+        (
+            # equal neighbours on any one component break the chain
+            lambda H: GenConfig(0, H, (cif_degree("1/3", "1/3", "1/2", "1/2"), cif_degree("1/3", "1/2", "1/3", "1/3"))),
+            "pool memberships must strictly increase",
+        ),
+        (
+            lambda H: GenConfig(0, H, (cif_degree("1/3", "1/2", "1/2", "1/2"), cif_degree("1/2", "1/2", "1/3", "1/3"))),
+            "pool memberships must strictly increase",
+        ),
+        (
+            lambda H: GenConfig(0, H, (cif_degree("1/3", "1/3", "1/2", "1/3"), cif_degree("1/2", "1/2", "1/3", "1/3"))),
+            "pool non-memberships must strictly decrease",
+        ),
     ],
 )
 def test_pools_that_are_not_chains_are_refused(H, build, message):
     with pytest.raises(ValueError) as info:
         build(H)
     assert str(info.value) == message
+
+
+# make_config(seed, alg).degree_pool for seeds 0, 1 and 2, as (mem r, mem w,
+# non r, non w).  The pool does not depend on the algebra, and the spec
+# files that the benchmark writes from generated sets repeat these values.
+POOLS = [
+    [("23/60", "3/20", "481/900", "11/15"), ("3/5", "13/60", "26/75", "3/5"), ("59/60", "29/60", "13/900", "17/30")],
+    [("37/60", "41/60", "253/900", "17/20"), ("11/15", "53/60", "44/225", "3/4"), ("11/12", "9/10", "11/180", "7/30")],
+    [("7/12", "1/60", "1/4", "37/60"), ("4/5", "8/15", "3/25", "11/20"), ("49/60", "11/15", "11/100", "7/60")],
+]
+
+
+@pytest.mark.parametrize("name", ["H", "L3", "L5"])
+@pytest.mark.parametrize("seed", range(3))
+def test_config_pools_are_pinned(request, name, seed):
+    pool = make_config(seed, request.getfixturevalue(name)).degree_pool
+    assert pool == tuple(cif_degree(*map(Fraction, row)) for row in POOLS[seed])
+    assert all(type(q) is Fraction for d in pool for q in (d.mem.r, d.mem.w, d.non.r, d.non.w))
+
+
+def test_pool_chain_is_checked_exactly(H):
+    """Neighbours that a float cannot tell apart (1 and 1 - 10^-30) are
+    still a strictly falling chain."""
+    tiny = Fraction(1, 10**30)
+    pool = (cif_degree(0, 0, 1, 1), cif_degree(tiny, tiny, 1 - tiny, "1/2"))
+    assert float(pool[0].non.r) == float(pool[1].non.r)
+    assert GenConfig(0, H, pool).degree_pool == pool

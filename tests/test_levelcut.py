@@ -768,3 +768,17 @@ def test_sum_at_the_pigeonhole_bound():
         assert_same_set(cif_sum(A, B), quadratic_cif_sum(A, B))
     assert cif_sum(U, U) == U
     assert {cif_sum(U, W).table[x] for x in space_vectors(alg) if any(x)} == {level}
+
+
+@pytest.mark.parametrize("name", ["H", "L3"])
+def test_a_cut_one_vector_short_of_the_carrier_is_no_subspace(request, name):
+    """Every nonzero vector but one is in the top cut: that cut holds
+    |V| - 1 vectors, never a subspace, though its span and the cut below
+    it are the whole carrier."""
+    alg = request.getfixturevalue(name)
+    nonzero = [x for x in space_vectors(alg) if x != alg.zero()]
+    for left_out in (nonzero[0], nonzero[-1]):
+        A = make_cifset(alg, [(x, cif_degree("1/2", "1/2", "1/4", "1/4")) for x in nonzero if x != left_out], EMPTY)
+        for check, reference in ((is_cif_subspace, quadratic_is_cif_subspace), (is_cif_ideal, quadratic_is_cif_ideal)):
+            report = check(A)
+            assert not report and report == reference(A)

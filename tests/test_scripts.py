@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ciflie import Report
+from ciflie import Report, parse_spec
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,8 +54,35 @@ def test_time_kernels_on_h():
         ("palette", "bracket_product_oracle"), ("per-vector", "bracket_product_oracle"),
         ("palette", "parse_spec"), ("per-vector", "parse_spec"), ("algebra", "validate_superalgebra"),
         ("subspace", "is_cif_subspace"), ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
+        ("per-vector", "Degree"), ("pool", "make_config"),
+        ("subspace", "rank_encode"), ("palette", "rank_encode"), ("per-vector", "rank_encode"),
     ]
     # both predicate rows time a passing check
     passing = hashlib.sha256(repr(Report(True)).encode()).hexdigest()[:16]
     assert [r["digest"] for r in rows if r["operation"].startswith("is_cif")] == [passing] * 2
     assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)
+
+
+def test_time_kernels_writes_the_spec_files_it_parses(tmp_path):
+    """``--write-spec`` writes the palette and per-vector workspaces of
+    each algebra, the text that its ``parse_spec`` rows parse, and times
+    nothing."""
+    done = run_script("time_kernels.py", "--algebras", "H,F5^5", "--write-spec", str(tmp_path / "specs"))
+    assert done.returncode == 0, done.stdout + done.stderr
+    names = ["H-palette.spec", "H-per-vector.spec", "F5_5-palette.spec", "F5_5-per-vector.spec"]
+    assert done.stdout.splitlines() == [str(tmp_path / "specs" / name) for name in names]
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import time_kernels
+    finally:
+        sys.path.pop(0)
+    known = time_kernels.algebras()
+    for name in names:
+        algebra, kind = name.removesuffix(".spec").replace("_", "^").split("-", 1)
+        alg = known[algebra]
+        text = (tmp_path / "specs" / name).read_text()
+        assert text == time_kernels.spec_text(alg, *time_kernels.inputs(algebra, alg, kind))
+        assert parse_spec(text).sets["A"].cifset.space == alg
+    # every nonzero vector of the per-vector file has its own degree
+    per_vector = parse_spec((tmp_path / "specs" / "F5_5-per-vector.spec").read_text()).sets
+    assert len({d for S in per_vector.values() for d in S.cifset.table.values()}) == 2 * (known["F5^5"].size - 1) + 1
