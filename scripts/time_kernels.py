@@ -21,8 +21,8 @@ subspace pair's first set and ``is_cif_ideal`` of a generated ideal
 a fixed grading-preserving map that is neither injective nor surjective.
 Last come the degree layer's steps: ``Degree`` construction of every
 distinct membership and non-membership part of the per-vector pair,
-``make_config`` (one generated degree pool) and ``rank_encode`` of each
-input pair.
+``make_config`` and the first read of its ``degree_pool`` (the config
+draws its pool then) and ``rank_encode`` of each input pair.
 
 With ``--write-spec DIR`` nothing is timed: the palette and per-vector
 workspaces that the ``parse_spec`` rows parse are written to DIR as
@@ -156,7 +156,7 @@ def cases(name: str, alg):
         yield kind, "image", lambda A=A: image(m, A), table_fingerprint
     parts = list(dict.fromkeys(q for S in tables["per-vector"] for d in S.table.values() for q in (d.mem, d.non)))
     yield "per-vector", "Degree", lambda: [Degree(q.r, q.w) for q in parts], repr
-    yield "pool", "make_config", lambda: make_config(0, alg), lambda cfg: repr(cfg.degree_pool)
+    yield "pool", "make_config", lambda: make_config(0, alg).degree_pool, repr
     for kind in KINDS:
         A, B = tables[kind]
         yield kind, "rank_encode", lambda A=A, B=B: rank_encode(A, B), repr

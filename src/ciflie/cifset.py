@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .degrees import (
@@ -64,6 +64,7 @@ from .superalgebra import (
     GradedMap,
     Superalgebra,
     Vector,
+    _carrier_vectors,
     apply_map,
     bracket_eval,
     graded_split,
@@ -514,7 +515,7 @@ def _carrier_bits(p: int, dim: int) -> tuple[dict[Vector, int], tuple]:
     Returns each vector's bit, and per coordinate i its stride
     p^(dim-1-i) and the masks low[c] of the bits whose i-th coordinate
     is below p - c."""
-    index = {x: n for n, x in enumerate(product(range(p), repeat=dim))}
+    index = {x: n for n, x in enumerate(_carrier_vectors(p, dim))}
     coords = []
     for i in range(dim):
         stride = p ** (dim - 1 - i)

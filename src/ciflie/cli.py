@@ -36,7 +36,7 @@ from .generators import make_config
 from .degrees import rat_str
 from .jsonio import cifset_rows, emit_json, input_digest, report_payload
 from .specfile import SpecError, Workspace, parse_spec
-from .superalgebra import validate_map, validate_superalgebra
+from .superalgebra import space_vectors, validate_map, validate_superalgebra
 from .theorems import CATALOG, check_theorem, negative_controls
 
 EXIT_OK = 0
@@ -155,7 +155,7 @@ def _cifset_text(A: CIFSet) -> str:
     lines = ["# vector | mem r w | non r w"]
     for note in A.notes:
         lines.append(f"# note: {note}")
-    for v in sorted(A.table):
+    for v in space_vectors(A.space):
         d = A.table[v]
         coords = " ".join(str(c) for c in v)
         lines.append(

@@ -5,7 +5,9 @@ increasing chain of membership degrees paired with a strictly decreasing
 chain of non-membership degrees.  Any family of sets valued in the same
 pool (plus the zero pin and the no-membership degree) is automatically
 homogeneous and pairwise homogeneous, which is exactly the standing
-assumption the sup/inf operations downstream rely on.
+assumption the sup/inf operations downstream rely on.  A config is a
+seed and an algebra; its pool is a function of the seed, drawn the
+first time it is read, so a config that never reads it draws none.
 
 Sets are built as level cuts over descending chains of crisp subspaces
 (crisp graded ideals for the ideal generator): the deeper a vector sits
@@ -19,6 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cifset import CIFSet, make_cifset
 from .degrees import CIFDegree, Degree, EMPTY, FULL, cif_degree
@@ -51,7 +54,9 @@ _ANTI_HOM_ATTEMPTS = 200
 
 def make_degree_pool(rng: random.Random, length: int) -> tuple[CIFDegree, ...]:
     """A chain of CIF degrees: memberships strictly rising in amplitude
-    and phase, non-memberships strictly falling, budgets respected."""
+    and phase, non-memberships strictly falling, budgets respected.  It
+    is a chain by construction: each sample is distinct and sorted, and
+    non r = (grid - r) * shrink / grid^2 falls as r rises."""
     if length < 1:
         raise ValueError("pool length must be positive")
     rs = sorted(rng.sample(range(1, _POOL_GRID), length))
@@ -67,43 +72,29 @@ def make_degree_pool(rng: random.Random, length: int) -> tuple[CIFDegree, ...]:
     )
 
 
-def _below(x: Fraction, y: Fraction) -> bool:
-    """x < y, cross-multiplied: Fractions keep positive denominators."""
-    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
-    return a * d < c * b
-
-
-def _check_pool_chain(pool: tuple[CIFDegree, ...]) -> None:
-    for lo, hi in zip(pool, pool[1:]):
-        if not (_below(lo.mem.r, hi.mem.r) and _below(lo.mem.w, hi.mem.w)):
-            raise ValueError("pool memberships must strictly increase")
-        if not (_below(hi.non.r, lo.non.r) and _below(hi.non.w, lo.non.w)):
-            raise ValueError("pool non-memberships must strictly decrease")
-
-
 @dataclass(frozen=True)
 class GenConfig:
-    """Reproducible generation context: seed, carrier and degree pool."""
+    """Reproducible generation context: a seed and a carrier.  The
+    degree pool is a function of the seed, drawn on first read."""
 
     seed: int
     algebra: Superalgebra
-    degree_pool: tuple[CIFDegree, ...]
 
-    def __post_init__(self) -> None:
-        _check_pool_chain(self.degree_pool)
+    @cached_property
+    def degree_pool(self) -> tuple[CIFDegree, ...]:
+        return make_degree_pool(random.Random(derive_seed(self.seed, 0)), CHAIN_LENGTH)
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
 
 def make_config(seed: int, algebra: Superalgebra) -> GenConfig:
-    """Config with a pool derived deterministically from the seed."""
-    rng = random.Random(derive_seed(seed, 0))
-    return GenConfig(seed, algebra, make_degree_pool(rng, CHAIN_LENGTH))
+    """The config of a seed and an algebra; its pool is not drawn yet."""
+    return GenConfig(seed, algebra)
 
 
 def trial_config(cfg: GenConfig, index: int) -> GenConfig:
-    """Per-trial config: derived seed and a fresh pool for that seed."""
+    """Per-trial config: a derived seed, hence its own pool."""
     return make_config(derive_seed(cfg.seed, index + 1), cfg.algebra)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .report import MapReport, Report
@@ -106,10 +106,16 @@ class Superalgebra:
         return self.field.p ** self.dim
 
 
-@lru_cache(maxsize=32)
 def space_vectors(alg: Superalgebra) -> tuple[Vector, ...]:
     """All vectors of the carrier in lexicographic order (zero first)."""
-    return tuple(itertools.product(range(alg.field.p), repeat=alg.dim))
+    return _carrier_vectors(alg.field.p, alg.dim)
+
+
+@cache
+def _carrier_vectors(p: int, dim: int) -> tuple[Vector, ...]:
+    # Keyed by (p, dim), not by the algebra, whose hash reads the whole
+    # structure table; check_carrier admits only a few dozen pairs.
+    return tuple(itertools.product(range(p), repeat=dim))
 
 
 def superalgebra_from_pairs(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -47,6 +47,7 @@ from .generators import (
     gen_cif_set,
     gen_cif_subspace,
     gen_pair,
+    make_config,
     trial_config,
 )
 from .superalgebra import Superalgebra, bracket_eval, span_closure
@@ -336,8 +337,7 @@ def check_theorem(theorem_id: str, cfg: GenConfig, trials: int) -> TheoremReport
     failures: list[TrialFailure] = []
     for index in range(trials):
         tcfg = trial_config(cfg, index)
-        rng = random.Random(tcfg.seed)
-        witness, inputs = runner(tcfg, rng)
+        witness, inputs = runner(tcfg, tcfg.rng())
         if witness is not None:
             failures.append(TrialFailure(tcfg.seed, _digest(*inputs), witness))
     return TheoremReport(theorem_id, trials, tuple(sorted(failures, key=lambda f: f.seed)))
@@ -423,13 +423,12 @@ def negative_controls(cfg: GenConfig, trials: int = 200) -> TheoremReport:
     notes: list[str] = []
     total = 0
     for name, control in NEGATIVE_CONTROLS.items():
-        ccfg = replace(cfg, seed=derive_seed(cfg.seed, _name_tag(name)))
+        ccfg = make_config(derive_seed(cfg.seed, _name_tag(name)), cfg.algebra)
         falsified_at: int | None = None
         applicable = True
         for index in range(trials):
             tcfg = trial_config(ccfg, index)
-            rng = random.Random(tcfg.seed)
-            outcome = control(tcfg, rng)
+            outcome = control(tcfg, tcfg.rng())
             total += 1
             if outcome is None:
                 applicable = False

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import ciflie
-from ciflie import Report, run_cli, trivial_cifset
+from ciflie import CIFSet, Report, run_cli, trivial_cifset
 from helpers import rebind_everywhere
 
 H_DOC = """\
@@ -250,6 +250,16 @@ def test_verify_thrm4_hundred_trials_json(spec_file, tmp_path):
     assert payload["trials"] == 100
     assert payload["passed"] is True
     assert all(run["failures"] == [] for run in payload["runs"])
+
+
+def test_cifset_text_lists_the_carrier_in_order(H):
+    """Rows follow the carrier's lexicographic order, not the order the
+    table was filled in."""
+    A = trivial_cifset(H)
+    backwards = CIFSet(H, dict(reversed(list(A.table.items()))))
+    lines = ciflie.cli._cifset_text(backwards).splitlines()[1:]
+    assert [tuple(map(int, line.split(" | ")[0].split())) for line in lines] == sorted(A.table)
+    assert ciflie.cli._cifset_text(backwards) == ciflie.cli._cifset_text(A)
 
 
 def test_compute_sum_and_intersection_and_preimage(spec_file, capsys):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ciflie import Report, parse_spec
+from ciflie import Report, make_config, parse_spec
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +42,7 @@ def test_oracle_sweep_small():
     assert lines[2].startswith("0 mismatches in ")
 
 
-def test_time_kernels_on_h():
+def test_time_kernels_on_h(H):
     done = run_script("time_kernels.py", "--algebras", "H", "--repeat", "1")
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
@@ -60,6 +60,8 @@ def test_time_kernels_on_h():
     # both predicate rows time a passing check
     passing = hashlib.sha256(repr(Report(True)).encode()).hexdigest()[:16]
     assert [r["digest"] for r in rows if r["operation"].startswith("is_cif")] == [passing] * 2
+    pool = hashlib.sha256(repr(make_config(0, H).degree_pool).encode()).hexdigest()[:16]
+    assert [r["digest"] for r in rows if r["operation"] == "make_config"] == [pool]
     assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)
 
 

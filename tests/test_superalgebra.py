@@ -135,6 +135,15 @@ def test_graded_split_recombines(L3):
         assert tuple((a + b) % p for a, b in zip(x0, x1)) == x
 
 
+def test_space_vectors_are_shared_by_carriers_of_one_shape(H, AB2, L3):
+    """The carrier is a function of (p, dim) alone: algebras with other
+    brackets share one tuple, in lexicographic order with zero first."""
+    assert space_vectors(H) is space_vectors(AB2)
+    assert space_vectors(H) == tuple(itertools.product(range(3), repeat=2))
+    assert space_vectors(L3) == tuple(sorted(space_vectors(L3)))
+    assert space_vectors(L3)[0] == L3.zero() and len(space_vectors(L3)) == L3.size
+
+
 def test_span_closure_examples(H):
     empty = span_closure(H, [])
     assert empty.rows == ()

@@ -2,7 +2,7 @@ import pytest
 
 import ciflie
 from ciflie import CATALOG, THEOREM_IDS, Report, check_theorem, make_config, negative_controls
-from ciflie import theorems
+from ciflie import generators, theorems
 from ciflie.theorems import NEGATIVE_CONTROLS
 from helpers import rebind_everywhere
 
@@ -77,6 +77,22 @@ def test_only_failing_trials_are_digested(H, monkeypatch):
     assert len(failures) == 3 * len(CATALOG)
     assert len(calls) == len(failures)
     assert sorted(f.inputs_digest for f in failures) == sorted(digest(*sets) for sets in calls)
+
+
+def test_each_trial_draws_one_pool(H, monkeypatch):
+    """A config draws its degree pool on first read, and a trial reads
+    only its own config's: check_theorem draws one pool per trial and
+    none for the config it is handed, and so do the negative controls."""
+    draws = []
+    draw = generators.make_degree_pool
+    monkeypatch.setattr(generators, "make_degree_pool", lambda rng, length: draws.append(length) or draw(rng, length))
+    for theorem_id in CATALOG:
+        draws.clear()
+        check_theorem(theorem_id, make_config(5, H), 3)
+        assert len(draws) == 3, theorem_id
+    draws.clear()
+    report = negative_controls(make_config(5, H))
+    assert len(draws) == report.trials
 
 
 def test_lem5_trivial_on_abelian(AB2):
