@@ -22,7 +22,11 @@ a fixed grading-preserving map that is neither injective nor surjective.
 Last come the degree layer's steps: ``Degree`` construction of every
 distinct membership and non-membership part of the per-vector pair,
 ``make_config`` and the first read of its ``degree_pool`` (the config
-draws its pool then) and ``rank_encode`` of each input pair.
+draws its pool then), the generators at ``make_config(0, alg)``
+(``gen_pair`` of two CIF subspaces, ``gen_cif_ideal`` and
+``gen_anti_hom``; the sets are digested by their fingerprints and the
+map by its matrix, so two trees that draw alike print equal digests) and
+``rank_encode`` of each input pair.
 
 With ``--write-spec DIR`` nothing is timed: the palette and per-vector
 workspaces that the ``parse_spec`` rows parse are written to DIR as
@@ -52,6 +56,7 @@ from ciflie import (
     bracket_product_oracle,
     cif_degree,
     cif_sum,
+    gen_anti_hom,
     gen_cif_ideal,
     gen_pair,
     image,
@@ -157,6 +162,12 @@ def cases(name: str, alg):
     parts = list(dict.fromkeys(q for S in tables["per-vector"] for d in S.table.values() for q in (d.mem, d.non)))
     yield "per-vector", "Degree", lambda: [Degree(q.r, q.w) for q in parts], repr
     yield "pool", "make_config", lambda: make_config(0, alg).degree_pool, repr
+    yield (
+        "config", "gen_pair", lambda: gen_pair(make_config(0, alg), kind="subspace"),
+        lambda sets: "&".join(map(table_fingerprint, sets)),
+    )
+    yield "config", "gen_cif_ideal", lambda: gen_cif_ideal(make_config(0, alg)), table_fingerprint
+    yield "config", "gen_anti_hom", lambda: gen_anti_hom(make_config(0, alg)), lambda m: repr(m.matrix)
     for kind in KINDS:
         A, B = tables[kind]
         yield kind, "rank_encode", lambda A=A, B=B: rank_encode(A, B), repr

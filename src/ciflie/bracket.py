@@ -20,9 +20,9 @@ So the thresholds are the values A and B take, swept as the int ranks of
 ``cifset.rank_encode``, and a sweep that brackets only the basis vectors
 new at each threshold against the other side's basis makes at most dim^2
 bracket evaluations per component.  Spans are carrier bitsets grown by
-translates (``cifset._grow``), as the sum grows its sumsets.  A component
-is fixed by its family of cuts (Zadeh's resolution identity) and the
-sweep reads t as a label only.  The ranks are dense over the values
+translates (``superalgebra._grow``), as the sum grows its sumsets.  A
+component is fixed by its family of cuts (Zadeh's resolution identity)
+and the sweep reads t as a label only.  The ranks are dense over the values
 taken, so two components that cut A and B into the same levels, with rank
 0 in both or in neither, carry the same labels too: ``cifset.per_split``
 sweeps once for both.  On homogeneous pairs the degree values form a
@@ -55,7 +55,6 @@ from operator import mul
 from .cifset import (
     COMPONENTS,
     CIFSet,
-    _grow,
     _label,
     _same_space,
     cif_sum,
@@ -69,6 +68,7 @@ from .degrees import EMPTY, CIFDegree, Degree
 from .superalgebra import (
     SubspaceBasis,
     Vector,
+    _grow,
     bracket_eval,
     space_vectors,
     span_closure,

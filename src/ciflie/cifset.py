@@ -27,7 +27,8 @@ definition, for these reasons:
   for every x, so A_t + B_t is the whole carrier and the sweep stops.
 * Cuts, sumsets and spans are carrier bitsets, translated by two masked
   shifts per nonzero coordinate: a sumset grows by one translate per new
-  vector, a span by p - 1 translates per vector off it (``_grow``).
+  vector, a span by p - 1 translates per vector off it
+  (``superalgebra._grow``).
 * A is a CIF subspace exactly when every cut of every component is a
   linear subspace.  Over F_p a nonempty set closed under + is closed
   under scalars too, and the pairwise clauses say precisely that each
@@ -46,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from typing import Iterable, Mapping
 
@@ -64,10 +64,12 @@ from .superalgebra import (
     GradedMap,
     Superalgebra,
     Vector,
-    _carrier_vectors,
-    apply_map,
+    _carrier_bits,
+    _grow,
+    _translate,
     bracket_eval,
     graded_split,
+    map_images,
     space_vectors,
     vec_scale,
 )
@@ -509,49 +511,6 @@ def _sum_component(alg: Superalgebra, steps) -> list:
     return column
 
 
-@cache
-def _carrier_bits(p: int, dim: int) -> tuple[dict[Vector, int], tuple]:
-    """Bit n of a carrier bitset is the n-th vector of ``space_vectors``.
-    Returns each vector's bit, and per coordinate i its stride
-    p^(dim-1-i) and the masks low[c] of the bits whose i-th coordinate
-    is below p - c."""
-    index = {x: n for n, x in enumerate(_carrier_vectors(p, dim))}
-    coords = []
-    for i in range(dim):
-        stride = p ** (dim - 1 - i)
-        blocks = sum(1 << j * p * stride for j in range(p**i))
-        coords.append((stride, tuple(((1 << (p - c) * stride) - 1) * blocks for c in range(p))))
-    return index, tuple(coords)
-
-
-def _translate(bits: int, a: Vector, coords: tuple) -> int:
-    """The bitset translated by a: per nonzero coordinate c = a_i, the
-    bits whose coordinate i is below p - c move up c strides and the
-    others wrap down p - c."""
-    for c, (stride, low) in zip(a, coords):
-        if c:
-            keep = bits & low[c]
-            bits = (keep << c * stride) | ((bits ^ keep) >> (len(low) - c) * stride)
-    return bits
-
-
-def _grow(alg: Superalgebra, span: int, xs) -> tuple[int, list[Vector]]:
-    """The span of a subspace bitset and xs, and the xs that grew it: an
-    x off the span ORs in its translates by x, 2x, ..., (p-1)x."""
-    index, coords = _carrier_bits(alg.field.p, alg.dim)
-    gained = []
-    for x in xs:
-        if not span >> index[x] & 1:
-            gained.append(x)
-            coset = span
-            for _ in range(1, alg.field.p):
-                coset = _translate(coset, x, coords)
-                span |= coset
-            if span.bit_count() == len(index):
-                break
-    return span, gained
-
-
 def _label(column: list, fresh: int, t: int) -> None:
     """Give rank t to the vectors of the bitset ``fresh`` in ``column``."""
     while fresh:
@@ -593,18 +552,13 @@ def image(m: GradedMap, A: CIFSet) -> CIFSet:
     """Push A forward: per component, the best rank over each fiber (the
     max for the memberships, the min for the non-memberships).  Off the
     image each component takes rank 0, its off value, so those vectors
-    get EMPTY.  The carrier is lexicographic, coordinate 0 slowest, so
-    one pass over the matrix rows lists every source vector's image in
-    carrier order: each image so far plus each multiple of the row."""
+    get EMPTY.  The images of the source vectors come from one pass over
+    the matrix rows (``map_images``)."""
     if A.space != m.source:
         raise ValueError("set does not live on the map's source")
     scales, (groups,) = rank_encode(A)
-    p = m.source.field.p
-    images = [m.target.zero()]
-    for row in m.matrix:
-        steps = [vec_scale(p, c, row) for c in range(p)]
-        images = [tuple([(a + b) % p for a, b in zip(y, s)]) for y in images for s in steps]
-    index = _carrier_bits(p, m.source.dim)[0]
+    images = map_images(m)
+    index = _carrier_bits(m.source.field.p, m.source.dim)[0]
     best: dict[Vector, tuple] = {}
     for key, xs in groups.items():
         for y in {images[index[x]] for x in xs}:
@@ -614,10 +568,10 @@ def image(m: GradedMap, A: CIFSet) -> CIFSet:
 
 
 def preimage(m: GradedMap, B: CIFSet) -> CIFSet:
-    """Pull B back: table composition with the map."""
+    """Pull B back: table composition with the map (``map_images``)."""
     if B.space != m.target:
         raise ValueError("set does not live on the map's target")
-    table = {x: B.table[apply_map(m, x)] for x in space_vectors(m.source)}
+    table = dict(zip(space_vectors(m.source), map(B.table.__getitem__, map_images(m))))
     return CIFSet(m.source, table)
 
 

@@ -27,14 +27,13 @@ from .cifset import CIFSet, make_cifset
 from .degrees import CIFDegree, Degree, EMPTY, FULL, cif_degree
 from .superalgebra import (
     GradedMap,
-    SpanBuilder,
-    SubspaceBasis,
     Superalgebra,
     Vector,
+    _grow,
+    _members,
     bracket_eval,
     graded_split,
     space_vectors,
-    span_closure,
     validate_map,
 )
 
@@ -108,18 +107,17 @@ def _random_homogeneous_vector(alg: Superalgebra, rng: random.Random) -> Vector:
     return even if rng.random() < 0.5 else odd
 
 
-def crisp_ideal_closure(alg: Superalgebra, gens: list[Vector]) -> SubspaceBasis:
+def crisp_ideal_closure(alg: Superalgebra, gens: list[Vector]) -> tuple[int, list[Vector]]:
     """Smallest subspace containing the generators and closed under
-    bracketing with the whole algebra."""
-    builder = SpanBuilder(alg.field, alg.dim)
-    queue = list(gens)
-    while queue:
-        v = queue.pop()
-        if builder.add(v):
-            for j in range(alg.dim):
-                queue.append(bracket_eval(alg, v, alg.basis(j)))
-                queue.append(bracket_eval(alg, alg.basis(j), v))
-    return builder.to_basis()
+    bracketing with the whole algebra, as a carrier bitset, and the basis
+    that grew it: each basis vector's brackets with the e_j, both sides."""
+    span, basis = _grow(alg, 1, gens)
+    units = [alg.basis(j) for j in range(alg.dim)]
+    for w in basis:  # runs on over the vectors each pass appends
+        brackets = [bracket_eval(alg, *we) for e in units for we in ((w, e), (e, w))]
+        span, gained = _grow(alg, span, brackets)
+        basis += gained
+    return span, basis
 
 
 def _random_chain(
@@ -128,35 +126,30 @@ def _random_chain(
     max_depth: int,
     graded: bool,
     ideal: bool,
-) -> list[SubspaceBasis]:
-    """Descending chain W_1 >= ... >= W_k of crisp subspaces (k possibly 0),
-    built deepest-first so inclusions hold by construction."""
+) -> list[int]:
+    """Descending chain W_1 >= ... >= W_k of crisp subspaces (k possibly 0)
+    as carrier bitsets, built deepest-first so inclusions hold by construction."""
     depth = rng.randint(0, max_depth)
-    chains: list[SubspaceBasis] = []
-    gens: list[Vector] = []
+    chain: list[int] = []
+    span, basis = 1, []
     sample = _random_homogeneous_vector if (graded or ideal) else _random_vector
     for _ in range(depth):
-        for _ in range(rng.randint(0, 2)):
-            gens.append(sample(alg, rng))
+        gens = [sample(alg, rng) for _ in range(rng.randint(0, 2))]
         if ideal:
-            basis = crisp_ideal_closure(alg, gens)
-            gens = list(basis.rows)
+            span, basis = crisp_ideal_closure(alg, basis + gens)
         else:
-            basis = span_closure(alg, gens)
-        chains.append(basis)
-    chains.reverse()
-    return chains
+            span = _grow(alg, span, gens)[0]
+        chain.append(span)
+    chain.reverse()
+    return chain
 
 
-def _levelcut_set(
-    alg: Superalgebra, chain: list[SubspaceBasis], pool: tuple[CIFDegree, ...]
-) -> CIFSet:
+def _levelcut_set(alg: Superalgebra, chain: list[int], pool: tuple[CIFDegree, ...]) -> CIFSet:
     """Read the degrees off the chain members: each vector takes the pool
-    degree of the deepest member whose ``members()`` list it, else EMPTY."""
+    degree of the deepest member whose bitset holds it, else EMPTY."""
     degree: dict[Vector, CIFDegree] = {}
-    for basis, d in zip(chain, pool):
-        for x in basis.members():
-            degree[x] = d
+    for span, d in zip(chain, pool):
+        degree.update(dict.fromkeys(_members(alg, span), d))
     degree.pop(alg.zero(), None)
     return make_cifset(alg, degree.items(), EMPTY)
 
@@ -250,7 +243,7 @@ def _random_graded_invertible(
     """One sampling attempt at a grading-preserving invertible matrix."""
     p, parity, dims = alg.field.p, alg.parity, range(alg.dim)
     rows = tuple(tuple(rng.randrange(p) if parity[k] == parity[i] else 0 for k in dims) for i in dims)
-    return rows if span_closure(alg, rows).rank == alg.dim else None
+    return rows if len(_grow(alg, 1, rows)[1]) == alg.dim else None
 
 
 def gen_anti_hom(cfg: GenConfig, rng: random.Random | None = None) -> GradedMap:

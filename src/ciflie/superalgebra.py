@@ -1,10 +1,12 @@
 """Finite-dimensional Z2-graded vector spaces over a prime field.
 
-Vectors are coordinate tuples reduced mod p, subspaces are reduced
-row-echelon bases, and the bracket is the bilinear extension of a
-structure-constant table c[i][j][k] with [b_i, b_j] = sum_k c[i][j][k] b_k.
-Carriers stay small (dimension at most 6, at most 3125 vectors) so
-every subspace and sup/inf downstream can be enumerated outright.
+Vectors are coordinate tuples reduced mod p, subspaces are carrier
+bitsets grown by translates (``_grow``), and the bracket is the bilinear
+extension of a structure-constant table c[i][j][k] with [b_i, b_j] =
+sum_k c[i][j][k] b_k.  Carriers stay small (dimension at most 6, at most
+3125 vectors) so every subspace and sup/inf downstream can be enumerated
+outright.  The row-echelon classes ``SpanBuilder`` and ``SubspaceBasis``
+remain only for the joint ladder and the benchmark tracer's bindings.
 """
 
 from __future__ import annotations
@@ -116,6 +118,56 @@ def _carrier_vectors(p: int, dim: int) -> tuple[Vector, ...]:
     # Keyed by (p, dim), not by the algebra, whose hash reads the whole
     # structure table; check_carrier admits only a few dozen pairs.
     return tuple(itertools.product(range(p), repeat=dim))
+
+
+@cache
+def _carrier_bits(p: int, dim: int) -> tuple[dict[Vector, int], tuple]:
+    """Bit n of a carrier bitset is the n-th vector of ``space_vectors``.
+    Returns each vector's bit, and per coordinate i its stride
+    p^(dim-1-i) and the masks low[c] of the bits whose i-th coordinate
+    is below p - c."""
+    index = {x: n for n, x in enumerate(_carrier_vectors(p, dim))}
+    coords = []
+    for i in range(dim):
+        stride = p ** (dim - 1 - i)
+        blocks = sum(1 << j * p * stride for j in range(p**i))
+        coords.append((stride, tuple(((1 << (p - c) * stride) - 1) * blocks for c in range(p))))
+    return index, tuple(coords)
+
+
+def _translate(bits: int, a: Vector, coords: tuple) -> int:
+    """The bitset translated by a: per nonzero coordinate c = a_i, the
+    bits whose coordinate i is below p - c move up c strides and the
+    others wrap down p - c."""
+    for c, (stride, low) in zip(a, coords):
+        if c:
+            keep = bits & low[c]
+            bits = (keep << c * stride) | ((bits ^ keep) >> (len(low) - c) * stride)
+    return bits
+
+
+def _grow(alg: Superalgebra, span: int, xs) -> tuple[int, list[Vector]]:
+    """The span of a subspace bitset and xs, and the xs that grew it: an
+    x off the span ORs in its translates by x, 2x, ..., (p-1)x.  From
+    the zero subspace, bitset 1, the xs that grew it are a basis."""
+    index, coords = _carrier_bits(alg.field.p, alg.dim)
+    gained = []
+    for x in xs:
+        if not span >> index[x] & 1:
+            gained.append(x)
+            coset = span
+            for _ in range(1, alg.field.p):
+                coset = _translate(coset, x, coords)
+                span |= coset
+            if span.bit_count() == len(index):
+                break
+    return span, gained
+
+
+def _members(alg: Superalgebra, bits: int) -> list[Vector]:
+    """The vectors of a carrier bitset in carrier order, read off its
+    binary digits, least significant first."""
+    return [x for x, d in zip(space_vectors(alg), bin(bits)[:1:-1]) if d == "1"]
 
 
 def superalgebra_from_pairs(
@@ -331,20 +383,6 @@ class SubspaceBasis:
             raise ValueError("dimension mismatch")
         return not any(_eliminate(self.field.p, self._pivoted, v))
 
-    def members(self) -> Iterable[Vector]:
-        """Enumerate every vector of the spanned subspace."""
-        p = self.field.p
-        if not self.rows:
-            yield (0,) * self.dim
-            return
-        for coeffs in itertools.product(range(p), repeat=len(self.rows)):
-            acc = [0] * self.dim
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for k in range(self.dim):
-                        acc[k] = (acc[k] + c * row[k]) % p
-            yield tuple(acc)
-
 
 def span_closure(alg: Superalgebra, gens: Iterable[Vector]) -> SubspaceBasis:
     """Reduced row-echelon basis of the linear span of the generators."""
@@ -401,6 +439,18 @@ def apply_map(m: GradedMap, x: Vector) -> Vector:
     return tuple(out)
 
 
+def map_images(m: GradedMap) -> list[Vector]:
+    """phi(x) for every source vector x, in carrier order.  The carrier is
+    lexicographic, coordinate 0 slowest, so one pass over the matrix rows
+    lists them: each image so far plus each multiple of the row."""
+    p = m.source.field.p
+    images = [m.target.zero()]
+    for row in m.matrix:
+        steps = [vec_scale(p, c, row) for c in range(p)]
+        images = [tuple([(a + b) % p for a, b in zip(y, s)]) for y in images for s in steps]
+    return images
+
+
 def validate_map(m: GradedMap) -> MapReport:
     """Check grading preservation and, for kind 'anti', the anti condition.
 
@@ -433,5 +483,5 @@ def validate_map(m: GradedMap) -> MapReport:
                     f"anti condition: phi([b{i}, b{j}]) != -[phi(b{i}), phi(b{j})]"
                 )
                 break
-    surjective = span_closure(m.target, m.matrix).rank == m.target.dim
+    surjective = len(_grow(m.target, 1, m.matrix)[1]) == m.target.dim
     return MapReport(ok=not failures, surjective=surjective, failures=tuple(failures))

@@ -41,6 +41,7 @@ from .degrees import EMPTY
 from .generators import (
     GenConfig,
     _random_homogeneous_vector,
+    crisp_ideal_closure,
     derive_seed,
     gen_anti_hom,
     gen_cif_ideal,
@@ -50,7 +51,7 @@ from .generators import (
     make_config,
     trial_config,
 )
-from .superalgebra import Superalgebra, bracket_eval, span_closure
+from .superalgebra import Superalgebra, _grow, _members
 
 
 @dataclass(frozen=True)
@@ -343,20 +344,17 @@ def check_theorem(theorem_id: str, cfg: GenConfig, trials: int) -> TheoremReport
     return TheoremReport(theorem_id, trials, tuple(sorted(failures, key=lambda f: f.seed)))
 
 
-def _nonideal_graded_subspace(alg: Superalgebra, rng: random.Random):
-    """A crisp graded subspace not closed under bracketing, if one exists."""
+def _nonideal_graded_subspace(alg: Superalgebra, rng: random.Random) -> int | None:
+    """A crisp graded subspace not closed under bracketing, as a carrier
+    bitset, if one exists: a proper span that its ideal closure outgrows."""
     for _ in range(200):
         gens = [
             _random_homogeneous_vector(alg, rng)
             for _ in range(rng.randint(1, alg.dim))
         ]
-        basis = span_closure(alg, gens)
-        if not 0 < basis.rank < alg.dim:
-            continue
-        for w in basis.rows:
-            for j in range(alg.dim):
-                if not basis.contains(bracket_eval(alg, w, alg.basis(j))):
-                    return basis
+        span, basis = _grow(alg, 1, gens)
+        if 0 < len(basis) < alg.dim and crisp_ideal_closure(alg, basis)[0] != span:
+            return span
     return None
 
 
@@ -380,11 +378,11 @@ def _control_subset_reversed(cfg, rng):
 
 def _control_ideal_on_nonideal(cfg, rng):
     alg = cfg.algebra
-    basis = _nonideal_graded_subspace(alg, rng)
-    if basis is None:
+    span = _nonideal_graded_subspace(alg, rng)
+    if span is None:
         return None
     top = cfg.degree_pool[-1]
-    entries = [(x, top) for x in basis.members() if x != alg.zero()]
+    entries = [(x, top) for x in _members(alg, span) if x != alg.zero()]
     bad = make_cifset(alg, entries, EMPTY)
     return not is_cif_ideal(bad).ok
 

@@ -19,6 +19,10 @@ vector by vector, where ``ciflie`` compares rank keys.
 ``fiber_preimage`` read the image and the preimage of a CIF set off the
 fibers, without the forward pass over the source that ``ciflie`` makes.
 
+``echelon_ideal_closure`` is the crisp ideal closure on a reduced
+row-echelon basis, where ``generators.crisp_ideal_closure`` grows a
+carrier bitset.
+
 ``brute_axiom_failures`` and ``brute_map_report`` state the algebra
 axioms and the map conditions on vectors rather than on the basis
 table: every homogeneous pair and triple, every vector pair, and the
@@ -42,6 +46,7 @@ from ciflie import (
     LevelCutLadder,
     Report,
     SpanBuilder,
+    SubspaceBasis,
     Superalgebra,
     TOP,
     Vector,
@@ -101,6 +106,21 @@ def _sweep(alg, groups: dict, order: list, default):
     for x in unassigned:
         assignment[x] = default
     return assignment, cuts
+
+
+def echelon_ideal_closure(alg: Superalgebra, gens: list[Vector]) -> SubspaceBasis:
+    """Smallest subspace containing the generators and closed under
+    bracketing with the whole algebra: every vector that raises the
+    rank queues its brackets with the basis vectors, on both sides."""
+    builder = SpanBuilder(alg.field, alg.dim)
+    queue = list(gens)
+    while queue:
+        v = queue.pop()
+        if builder.add(v):
+            for j in range(alg.dim):
+                queue.append(bracket_eval(alg, v, alg.basis(j)))
+                queue.append(bracket_eval(alg, alg.basis(j), v))
+    return builder.to_basis()
 
 
 def quadratic_level_ladder(A: CIFSet, B: CIFSet, side: str) -> LevelCutLadder:

@@ -7,6 +7,7 @@ import pytest
 from ciflie import (
     PrimeField,
     Superalgebra,
+    bracket_eval,
     cif_degree,
     gen_anti_hom,
     gen_cif_ideal,
@@ -20,6 +21,7 @@ from ciflie import (
     make_config,
     make_degree_pool,
     pair_homogeneous,
+    space_vectors,
     validate_map,
     validate_superalgebra,
 )
@@ -32,6 +34,7 @@ from ciflie.generators import (
     derive_seed,
     trial_config,
 )
+from oracles import echelon_ideal_closure
 
 
 def test_pool_is_a_chain():
@@ -178,22 +181,42 @@ def test_trial_config_varies_pool(H):
 
 
 def test_crisp_ideal_closure_is_an_ideal(H, L3):
-    from ciflie import bracket_eval
-
     rng = random.Random(17)
     for alg in (H, L3):
+        index = {x: n for n, x in enumerate(space_vectors(alg))}
+
+        def holds(span, v):
+            return span >> index[v] & 1
+
         for _ in range(20):
             gens = [
                 tuple(rng.randrange(alg.field.p) for _ in range(alg.dim))
                 for _ in range(rng.randint(0, 2))
             ]
-            basis = crisp_ideal_closure(alg, gens)
-            for w in basis.rows:
+            span, basis = crisp_ideal_closure(alg, gens)
+            assert span.bit_count() == alg.field.p ** len(basis)
+            for w in basis:
+                assert holds(span, w)
                 for j in range(alg.dim):
-                    assert basis.contains(bracket_eval(alg, w, alg.basis(j)))
-                    assert basis.contains(bracket_eval(alg, alg.basis(j), w))
+                    assert holds(span, bracket_eval(alg, w, alg.basis(j)))
+                    assert holds(span, bracket_eval(alg, alg.basis(j), w))
             for g in gens:
-                assert basis.contains(g)
+                assert holds(span, g)
+
+
+@pytest.mark.parametrize("name", ["H", "L3", "L5", "L4"])
+def test_crisp_ideal_closure_matches_the_echelon_closure(request, name):
+    """The bitset closure spans what the echelon-form closure spans, on
+    random generators, homogeneous or not."""
+    alg = request.getfixturevalue(name)
+    vectors = space_vectors(alg)
+    rng = random.Random(name)
+    for _ in range(12):
+        gens = [rng.choice(vectors) for _ in range(rng.randint(0, 3))]
+        reference = echelon_ideal_closure(alg, gens)
+        span, basis = crisp_ideal_closure(alg, gens)
+        assert len(basis) == reference.rank
+        assert span == sum(1 << n for n, x in enumerate(vectors) if reference.contains(x))
 
 
 def test_pool_length_must_be_positive():

@@ -7,7 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ciflie import Report, make_config, parse_spec
+from ciflie import Report, gen_anti_hom, gen_cif_ideal, gen_pair, make_config, parse_spec
+from ciflie.cifset import table_fingerprint
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +56,7 @@ def test_time_kernels_on_h(H):
         ("palette", "parse_spec"), ("per-vector", "parse_spec"), ("algebra", "validate_superalgebra"),
         ("subspace", "is_cif_subspace"), ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
         ("per-vector", "Degree"), ("pool", "make_config"),
+        ("config", "gen_pair"), ("config", "gen_cif_ideal"), ("config", "gen_anti_hom"),
         ("subspace", "rank_encode"), ("palette", "rank_encode"), ("per-vector", "rank_encode"),
     ]
     # both predicate rows time a passing check
@@ -62,6 +64,16 @@ def test_time_kernels_on_h(H):
     assert [r["digest"] for r in rows if r["operation"].startswith("is_cif")] == [passing] * 2
     pool = hashlib.sha256(repr(make_config(0, H).degree_pool).encode()).hexdigest()[:16]
     assert [r["digest"] for r in rows if r["operation"] == "make_config"] == [pool]
+    # the generator rows digest the draws of make_config(0, H)
+    cfg = make_config(0, H)
+    drawn = {
+        "gen_pair": "&".join(map(table_fingerprint, gen_pair(cfg, kind="subspace"))),
+        "gen_cif_ideal": table_fingerprint(gen_cif_ideal(cfg)),
+        "gen_anti_hom": repr(gen_anti_hom(cfg).matrix),
+    }
+    assert {r["operation"]: r["digest"] for r in rows if r["input"] == "config"} == {
+        op: hashlib.sha256(text.encode()).hexdigest()[:16] for op, text in drawn.items()
+    }
     assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)
 
 

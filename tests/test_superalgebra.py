@@ -179,11 +179,6 @@ def test_subspace_basis_invariants_enforced(F3):
         SubspaceBasis(F3, 2, ((2, 0),))
 
 
-def test_members_enumerates_span(F3):
-    basis = SubspaceBasis(F3, 2, ((1, 2),))
-    assert sorted(basis.members()) == [(0, 0), (1, 2), (2, 1)]
-
-
 def test_validate_map_identity_on_abelian_is_anti(AB2):
     ident = GradedMap(AB2, AB2, ((1, 0), (0, 1)), kind="anti")
     rep = validate_map(ident)

@@ -1,7 +1,17 @@
 import pytest
 
 import ciflie
-from ciflie import CATALOG, THEOREM_IDS, Report, check_theorem, make_config, negative_controls
+from ciflie import (
+    CATALOG,
+    THEOREM_IDS,
+    Report,
+    SpanBuilder,
+    SubspaceBasis,
+    check_theorem,
+    make_config,
+    negative_controls,
+    run_cli,
+)
 from ciflie import generators, theorems
 from ciflie.theorems import NEGATIVE_CONTROLS
 from helpers import rebind_everywhere
@@ -138,3 +148,32 @@ def test_catalog_and_controls_on_larger_derived_algebras(request, name):
     # sl2 is all even, so only the grading control has no witness there
     inapplicable = ["graded-on-nongraded"] if name == "sl2" else []
     assert [n for n in NEGATIVE_CONTROLS if f"{n}: not applicable" in report.note] == inapplicable
+
+
+GUARD_SPEC = """\
+field 3
+space H dim 2 parity 0 1
+bracket H 1 1 -> 1 0
+map phi H -> H kind anti rows 2 0 / 0 1
+"""
+
+
+def test_no_production_path_builds_an_echelon_form(H, L3, tmp_path, monkeypatch):
+    """Subspaces are carrier bitsets outside the joint ladder: with the
+    echelon classes refusing every use, the catalog, the negative
+    controls and the map checks of the CLI still run."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an echelon form was built")
+
+    monkeypatch.setattr(SpanBuilder, "add", refuse)
+    monkeypatch.setattr(SpanBuilder, "contains", refuse)
+    monkeypatch.setattr(SubspaceBasis, "__post_init__", refuse)
+    for alg in (H, L3):
+        for theorem_id in CATALOG:
+            assert check_theorem(theorem_id, make_config(5, alg), 2).passed, theorem_id
+    assert negative_controls(make_config(5, H), 20).passed
+    path = tmp_path / "phi.spec"
+    path.write_text(GUARD_SPEC, encoding="utf-8")
+    assert run_cli(["validate", str(path)]) == 0
+    assert run_cli(["check", "anti-hom", str(path), "--name", "phi"]) == 0
