@@ -16,9 +16,11 @@ before its operation follow: ``parse_spec`` of the serialized palette
 and per-vector workspaces (two sets each), ``validate_superalgebra`` of
 the algebra, the predicates ``is_cif_subspace`` of the generated
 subspace pair's first set and ``is_cif_ideal`` of a generated ideal
-(both pass: a failing check rescans |V|^2 pairs for its witness, about
-20 s on F5^5), and ``image`` of the palette and per-vector tables under
-a fixed grading-preserving map that is neither injective nor surjective.
+(both pass), then the same predicates failing, digested by their
+witness text: ``is_cif_subspace`` of a trivial set with two raised
+lines and ``is_cif_ideal`` of an odd line at FULL (see ``failing``),
+and ``image`` of the palette and per-vector tables under a fixed
+grading-preserving map that is neither injective nor surjective.
 Last come the degree layer's steps: ``Degree`` construction of every
 distinct membership and non-membership part of the per-vector pair,
 ``make_config`` and the first read of its ``degree_pool`` (the config
@@ -48,6 +50,7 @@ from pathlib import Path
 
 from ciflie import (
     EMPTY,
+    FULL,
     Degree,
     GradedMap,
     PrimeField,
@@ -137,6 +140,22 @@ def collapsing_map(alg) -> GradedMap:
     return GradedMap(alg, alg, tuple(rows) + ((0,) * alg.dim,))
 
 
+def failing(alg):
+    """A trivial set whose two lines through (1,0,0,0,3) and (1,2,0,4,1)
+    are raised to 1/2 1/2 1/4 1/4, and the odd line through (0,1,2,0,0)
+    at FULL; on a smaller carrier each vector keeps its first dim
+    coordinates, reduced mod p.  The sum of the two vectors leaves their
+    lines, and the odd line is no ideal of any of these algebras."""
+    p = alg.field.p
+
+    def line(v):
+        return [tuple(k * c % p for c in v[: alg.dim]) for k in range(1, p)]
+
+    level = cif_degree(Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    lines = make_cifset(alg, [(x, level) for x in line((1, 0, 0, 0, 3)) + line((1, 2, 0, 4, 1))], EMPTY)
+    return lines, make_cifset(alg, [(x, FULL) for x in line((0, 1, 2, 0, 0))], EMPTY)
+
+
 def cases(name: str, alg):
     """(input kind, operation, call, text of the result) in print order."""
     tables = {}
@@ -155,6 +174,9 @@ def cases(name: str, alg):
     yield "subspace", "is_cif_subspace", lambda: is_cif_subspace(subspace), repr
     ideal = gen_cif_ideal(make_config(0, alg))
     yield "ideal", "is_cif_ideal", lambda: is_cif_ideal(ideal), repr
+    lines, odd_line = failing(alg)
+    yield "two-lines", "is_cif_subspace", lambda: is_cif_subspace(lines), lambda report: report.witness
+    yield "odd-line", "is_cif_ideal", lambda: is_cif_ideal(odd_line), lambda report: report.witness
     m = collapsing_map(alg)
     for kind in ("palette", "per-vector"):
         A = tables[kind][0]

@@ -35,11 +35,16 @@ definition, for these reasons:
   cut is closed under + and holds 0.  A cut is a subspace exactly when
   it equals its span.
 * Cut-ideal criterion: a CIF subspace absorbs the bracket exactly when
-  every cut U satisfies [u, v] in U and [v, u] in U for u in a basis of
-  U and v in a basis of V.  By bilinearity that covers all of [U, V].
+  every cut equals its span and its ideal closure (``superalgebra._ideal``,
+  by bilinearity the span closed under [u, e_j] and [e_j, u]).
 
 A failing predicate rescans its pairs in carrier order only to name the
-first witness, so its report reads as the pairwise definition's.
+first witness, so its report reads as the pairwise definition's.  It
+scans only pairs with a raised vector, one whose rank key is off the
+floor, the componentwise least key that A takes.  A pair fails only
+where some rank of its result is below that rank of x (scalar), of x
+and y (additivity) or of x or y (bracket), and none is below the floor:
+the subspace clauses need x and y raised, the bracket clause x or y.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from .superalgebra import (
     Vector,
     _carrier_bits,
     _grow,
+    _ideal,
     _translate,
     bracket_eval,
     graded_split,
@@ -281,11 +287,10 @@ def per_split(kernel, alg: Superalgebra, groups: list[dict]) -> list:
 
 def _cut_clauses(alg: Superalgebra, steps) -> str | None:
     """The first clause that a component's cuts (the vectors swept so far)
-    break: "subspace" when a cut is not its span, else "bracket" when [x, e]
-    or [e, x] is off the cut, for x growing the span and e a basis vector,
-    else None.  The cut that the last vectors join is the carrier."""
+    break: "subspace" when a cut is not its span, else "bracket" when a cut
+    is not its ideal closure, grown from the vectors new to its span, else
+    None.  The cut that the last vectors join is the carrier."""
     index = _carrier_bits(alg.field.p, alg.dim)[0]
-    basis = [alg.basis(j) for j in range(alg.dim)]
     cut, span, absorbs, swept = 0, 1, True, 0  # bit 0 is the zero vector
     for _, xs in steps:
         swept += len(xs)
@@ -297,8 +302,7 @@ def _cut_clauses(alg: Superalgebra, steps) -> str | None:
         span, gained = _grow(alg, span, xs)
         if cut != span:
             return "subspace"
-        brackets = (bracket_eval(alg, *xy) for x in gained for e in basis for xy in ((x, e), (e, x)))
-        absorbs = absorbs and all(cut >> index[g] & 1 for g in brackets)
+        absorbs = absorbs and _ideal(alg, span, gained)[0] == cut
     return None if absorbs else "bracket"
 
 
@@ -307,25 +311,34 @@ def is_cif_subspace(A: CIFSet) -> Report:
 
     Decided by the cut criterion; a failure is rescanned for its witness.
     """
-    if "subspace" in per_split(_cut_clauses, A.space, rank_encode(A)[1]):
-        return _subspace_witness(A)
+    groups = rank_encode(A)[1]
+    if "subspace" in per_split(_cut_clauses, A.space, groups):
+        return _subspace_witness(A, groups[0])
     return Report(True)
 
 
-def _subspace_witness(A: CIFSet) -> Report:
-    """The pairwise subspace clauses, scanned in carrier order."""
+def _raised(groups: dict) -> list[Vector]:
+    """The raised rows: the vectors of A's rank-key groups whose key is
+    off the floor, the componentwise least key, in carrier order."""
+    floor = tuple(map(min, zip(*groups)))
+    return sorted(x for key, xs in groups.items() if key != floor for x in xs)
+
+
+def _subspace_witness(A: CIFSet, groups: dict) -> Report:
+    """The pairwise subspace clauses, scanned in carrier order over the
+    raised vectors."""
     alg = A.space
     p = alg.field.p
-    vectors = space_vectors(alg)
-    for x in vectors:
+    raised = _raised(groups)
+    for x in raised:
         for alpha in alg.field.elements:
             ax = vec_scale(p, alpha, x)
             if not deg_leq(A.mem(x), A.mem(ax)):
                 return Report(False, (f"scalar (membership): x={x}, alpha={alpha}",))
             if not deg_leq(A.non(ax), A.non(x)):
                 return Report(False, (f"scalar (non-membership): x={x}, alpha={alpha}",))
-    for x in vectors:
-        for y in vectors:
+    for x in raised:
+        for y in raised:
             s = tuple((a + b) % p for a, b in zip(x, y))
             if not deg_leq(deg_meet(A.mem(x), A.mem(y)), A.mem(s)):
                 return Report(False, (f"additivity (membership): x={x}, y={y}",))
@@ -379,19 +392,21 @@ def is_cif_ideal(A: CIFSet) -> Report:
     groups = rank_encode(A)[1]
     clauses = per_split(_cut_clauses, A.space, groups)
     if "subspace" in clauses:
-        return Report(False, (f"subspace clause: {_subspace_witness(A).witness}",))
+        return Report(False, (f"subspace clause: {_subspace_witness(A, groups[0]).witness}",))
     graded = _grading_clause(A.space, groups[0])
     if not graded:
         return Report(False, (f"grading clause: {graded.witness}",))
-    return _bracket_clause_witness(A) if "bracket" in clauses else Report(True)
+    return _bracket_clause_witness(A, groups[0]) if "bracket" in clauses else Report(True)
 
 
-def _bracket_clause_witness(A: CIFSet) -> Report:
-    """The pairwise bracket clause, scanned in carrier order."""
+def _bracket_clause_witness(A: CIFSet, groups: dict) -> Report:
+    """The pairwise bracket clause, scanned in carrier order: every y for
+    a raised x, the raised y for any other x."""
     alg = A.space
-    vectors = space_vectors(alg)
+    raised = _raised(groups)
+    vectors, lifted = space_vectors(alg), set(raised)
     for x in vectors:
-        for y in vectors:
+        for y in vectors if x in lifted else raised:
             bxy = bracket_eval(alg, x, y)
             if not deg_leq(deg_join(A.mem(x), A.mem(y)), A.mem(bxy)):
                 return Report(False, (f"bracket clause (membership): x={x}, y={y}",))

@@ -30,8 +30,8 @@ from .superalgebra import (
     Superalgebra,
     Vector,
     _grow,
+    _ideal,
     _members,
-    bracket_eval,
     graded_split,
     space_vectors,
     validate_map,
@@ -108,16 +108,8 @@ def _random_homogeneous_vector(alg: Superalgebra, rng: random.Random) -> Vector:
 
 
 def crisp_ideal_closure(alg: Superalgebra, gens: list[Vector]) -> tuple[int, list[Vector]]:
-    """Smallest subspace containing the generators and closed under
-    bracketing with the whole algebra, as a carrier bitset, and the basis
-    that grew it: each basis vector's brackets with the e_j, both sides."""
-    span, basis = _grow(alg, 1, gens)
-    units = [alg.basis(j) for j in range(alg.dim)]
-    for w in basis:  # runs on over the vectors each pass appends
-        brackets = [bracket_eval(alg, *we) for e in units for we in ((w, e), (e, w))]
-        span, gained = _grow(alg, span, brackets)
-        basis += gained
-    return span, basis
+    """The least ideal holding the generators, as a carrier bitset, and the basis that grew it."""
+    return _ideal(alg, *_grow(alg, 1, gens))
 
 
 def _random_chain(
@@ -128,17 +120,16 @@ def _random_chain(
     ideal: bool,
 ) -> list[int]:
     """Descending chain W_1 >= ... >= W_k of crisp subspaces (k possibly 0)
-    as carrier bitsets, built deepest-first so inclusions hold by construction."""
+    as carrier bitsets, built deepest-first, each grown from the one before."""
     depth = rng.randint(0, max_depth)
     chain: list[int] = []
-    span, basis = 1, []
+    span = 1
     sample = _random_homogeneous_vector if (graded or ideal) else _random_vector
     for _ in range(depth):
         gens = [sample(alg, rng) for _ in range(rng.randint(0, 2))]
+        span, gained = _grow(alg, span, gens)
         if ideal:
-            span, basis = crisp_ideal_closure(alg, basis + gens)
-        else:
-            span = _grow(alg, span, gens)[0]
+            span = _ideal(alg, span, gained)[0]
         chain.append(span)
     chain.reverse()
     return chain

@@ -164,6 +164,16 @@ def _grow(alg: Superalgebra, span: int, xs) -> tuple[int, list[Vector]]:
     return span, gained
 
 
+def _ideal(alg: Superalgebra, span: int, gained: list[Vector]) -> tuple[int, list[Vector]]:
+    """The ideal closure of a span bitset whose older basis vectors bracket
+    into it, and its new ones ``gained``, extended in place by those it adds."""
+    units = [alg.basis(j) for j in range(alg.dim)]
+    for w in gained:  # runs on over the vectors each pass appends
+        span, more = _grow(alg, span, [bracket_eval(alg, *we) for e in units for we in ((w, e), (e, w))])
+        gained += more
+    return span, gained
+
+
 def _members(alg: Superalgebra, bits: int) -> list[Vector]:
     """The vectors of a carrier bitset in carrier order, read off its
     binary digits, least significant first."""

@@ -1,6 +1,6 @@
 import pytest
 
-from ciflie import PrimeField, space_vectors, superalgebra_from_pairs
+from ciflie import PrimeField, space_vectors, superalgebra_from_pairs, validate_superalgebra
 from helpers import rebind_everywhere
 
 
@@ -80,3 +80,47 @@ def C2(F3):
     return superalgebra_from_pairs(
         F3, (0, 0, 1, 1), {(2, 2): (1, 0, 0, 0), (3, 3): (0, 1, 0, 0)}
     )
+
+
+def osp12(field):
+    """osp(1|2) (Kac, "Lie superalgebras", 1977): even h, e, f and odd x,
+    y, with [h,e] = 2e, [h,f] = -2f, [e,f] = h, [h,x] = x, [h,y] = -y,
+    [e,y] = -x, [f,x] = -y, [x,x] = 2e, [y,y] = -2f and [x,y] = h.  The
+    even part acts on the odd part, and [V, V] = V."""
+    return superalgebra_from_pairs(field, (0, 0, 0, 1, 1), {
+        (0, 1): (0, 2, 0, 0, 0), (0, 2): (0, 0, -2, 0, 0), (1, 2): (1, 0, 0, 0, 0),
+        (0, 3): (0, 0, 0, 1, 0), (0, 4): (0, 0, 0, 0, -1), (1, 4): (0, 0, 0, -1, 0),
+        (2, 3): (0, 0, 0, 0, -1), (3, 3): (0, 2, 0, 0, 0), (4, 4): (0, 0, -2, 0, 0),
+        (3, 4): (1, 0, 0, 0, 0),
+    })
+
+
+def gl11(field):
+    """gl(1|1): even E, N and odd psi, chi, with [N,psi] = psi,
+    [N,chi] = -chi and [psi,chi] = E."""
+    return superalgebra_from_pairs(
+        field, (0, 0, 1, 1), {(1, 2): (0, 0, 1, 0), (1, 3): (0, 0, 0, -1), (2, 3): (1, 0, 0, 0)}
+    )
+
+
+def _valid(alg):
+    assert validate_superalgebra(alg).ok
+    return alg
+
+
+@pytest.fixture(scope="session")
+def osp12_F3(F3):
+    """osp(1|2) over F_3 (|V| = 243)."""
+    return _valid(osp12(F3))
+
+
+@pytest.fixture(scope="session")
+def gl11_F3(F3):
+    """gl(1|1) over F_3 (|V| = 81)."""
+    return _valid(gl11(F3))
+
+
+@pytest.fixture(scope="session")
+def gl11_F5():
+    """gl(1|1) over F_5 (|V| = 625)."""
+    return _valid(gl11(PrimeField(5)))

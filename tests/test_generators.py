@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from ciflie import (
+    EMPTY,
+    FULL,
     PrimeField,
+    Report,
     Superalgebra,
     bracket_eval,
     cif_degree,
@@ -18,6 +21,7 @@ from ciflie import (
     is_cif_subspace,
     is_homogeneous,
     is_z2_graded,
+    make_cifset,
     make_config,
     make_degree_pool,
     pair_homogeneous,
@@ -34,7 +38,7 @@ from ciflie.generators import (
     derive_seed,
     trial_config,
 )
-from oracles import echelon_ideal_closure
+from oracles import echelon_ideal_closure, quadratic_is_cif_ideal
 
 
 def test_pool_is_a_chain():
@@ -100,8 +104,8 @@ def test_graded_subspace_generator_sound(H, L3):
             assert is_z2_graded(A).ok
 
 
-def test_ideal_generator_sound(H, L3, AB2):
-    for alg in (H, L3, AB2):
+def test_ideal_generator_sound(H, L3, AB2, gl11_F3, osp12_F3):
+    for alg in (H, L3, AB2, gl11_F3, osp12_F3):
         for seed in range(30):
             A = gen_cif_ideal(make_config(seed, alg))
             assert is_cif_ideal(A).ok
@@ -204,7 +208,7 @@ def test_crisp_ideal_closure_is_an_ideal(H, L3):
                 assert holds(span, g)
 
 
-@pytest.mark.parametrize("name", ["H", "L3", "L5", "L4"])
+@pytest.mark.parametrize("name", ["H", "L3", "L5", "L4", "osp12_F3", "gl11_F3", "gl11_F5"])
 def test_crisp_ideal_closure_matches_the_echelon_closure(request, name):
     """The bitset closure spans what the echelon-form closure spans, on
     random generators, homogeneous or not."""
@@ -217,6 +221,43 @@ def test_crisp_ideal_closure_matches_the_echelon_closure(request, name):
         span, basis = crisp_ideal_closure(alg, gens)
         assert len(basis) == reference.rank
         assert span == sum(1 << n for n, x in enumerate(vectors) if reference.contains(x))
+
+
+# [b0, b1] = b0 and every other bracket 0, and its transpose [b1, b0] = b0.
+# Neither is super skew-symmetric, so bracketing one side only misses b0.
+ONE_SIDED = {
+    "b0_b1": (Superalgebra(PrimeField(3), 2, (0, 0), (((0, 0), (1, 0)), ((0, 0), (0, 0)))), "x=(1, 0), y=(0, 1)"),
+    "b1_b0": (Superalgebra(PrimeField(3), 2, (0, 0), (((0, 0), (0, 0)), ((1, 0), (0, 0)))), "x=(0, 1), y=(1, 0)"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(ONE_SIDED))
+def test_ideal_closure_brackets_both_sides(table):
+    """On a table that fails super skew-symmetry the ideal closure of
+    the line through b1 is the carrier, and the line at FULL fails the
+    ideal check where the pairwise definition does."""
+    alg, pair = ONE_SIDED[table]
+    assert not validate_superalgebra(alg).ok
+    assert crisp_ideal_closure(alg, [alg.basis(1)])[0] == (1 << alg.size) - 1
+    line = make_cifset(alg, [((0, 1), FULL), ((0, 2), FULL)], EMPTY)
+    failure = Report(False, (f"bracket clause (membership): {pair}",))
+    assert is_cif_ideal(line) == quadratic_is_cif_ideal(line) == failure
+
+
+@pytest.mark.parametrize("name", ["L3", "osp12_F3", "gl11_F3"])
+def test_ideal_chain_members_close_every_generator_drawn(request, name):
+    """Each member of a generated ideal chain, grown from the one before,
+    is the echelon ideal closure of all the generators drawn so far."""
+    alg = request.getfixturevalue(name)
+    vectors = space_vectors(alg)
+    for seed in range(20):
+        chain = generators._random_chain(alg, random.Random(seed), CHAIN_LENGTH, True, True)
+        rng, gens, members = random.Random(seed), [], []
+        for _ in range(rng.randint(0, CHAIN_LENGTH)):
+            gens += [generators._random_homogeneous_vector(alg, rng) for _ in range(rng.randint(0, 2))]
+            closure = echelon_ideal_closure(alg, gens)
+            members.append(sum(1 << n for n, x in enumerate(vectors) if closure.contains(x)))
+        assert chain == members[::-1]
 
 
 def test_pool_length_must_be_positive():

@@ -22,6 +22,7 @@ from ciflie import (
     CIFSet,
     Degree,
     EMPTY,
+    FULL,
     GradedMap,
     PrimeField,
     SpanBuilder,
@@ -32,6 +33,7 @@ from ciflie import (
     cif_degree,
     cif_sum,
     deg_join,
+    deg_leq,
     deg_meet,
     first_difference,
     image,
@@ -48,11 +50,11 @@ from ciflie import (
     trivial_cifset,
     validate_superalgebra,
 )
-from ciflie.cifset import COMPONENTS, _subspace_witness, rank_encode
+from ciflie.cifset import COMPONENTS, rank_encode
 from ciflie.generators import gen_pair, gen_random_table, make_config
 from ciflie.specfile import Workspace, WorkspaceSet
 from ciflie.superalgebra import _carrier_bits, _grow, _translate, vec_add
-from helpers import chain_table, source_mutant
+from helpers import chain_table, random_degree, source_mutant
 from oracles import (
     fiber_image,
     fixpoint_bracket_product,
@@ -505,7 +507,7 @@ def test_rank_encode_stays_light_on_long_distinct_denominators(L5, tmp_path, cap
     assert run_cli(["check", "subspace", str(path), "--name", "A"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "subspace A: FAIL\n"
-    assert captured.err == _subspace_witness(A).witness + "\n"
+    assert captured.err == quadratic_is_cif_subspace(A).witness + "\n"
 
 
 def count_kernel_runs(monkeypatch) -> list[str]:
@@ -781,3 +783,89 @@ def test_a_cut_one_vector_short_of_the_carrier_is_no_subspace(request, name):
         for check, reference in ((is_cif_subspace, quadratic_is_cif_subspace), (is_cif_ideal, quadratic_is_cif_ideal)):
             report = check(A)
             assert not report and report == reference(A)
+
+
+def lines(alg, *vectors):
+    """The nonzero multiples of each vector."""
+    p = alg.field.p
+    return [tuple(k * c % p for c in v) for v in vectors for k in range(1, p)]
+
+
+def sparse_table(alg, rng):
+    """One to four raised nonzero vectors over the EMPTY floor: a few
+    random vectors at their own degrees, or the line through one vector
+    at one degree, so the bracket clause is reached too."""
+    nonzero = [x for x in space_vectors(alg) if x != alg.zero()]
+    if rng.random() < 0.5:
+        d = random_degree(rng)
+        return make_cifset(alg, [(x, d) for x in lines(alg, rng.choice(nonzero))], EMPTY)
+    return make_cifset(alg, [(x, random_degree(rng)) for x in rng.sample(nonzero, rng.randint(1, 4))], EMPTY)
+
+
+@pytest.mark.parametrize(("name", "count"), [("H", 40), ("L3", 30), ("gl11_F3", 6)])
+def test_sparse_sets_match_pairwise_definitions(request, name, count):
+    """The witness rescans read only the raised rows; on sets with few
+    of them they name the pairwise definitions' witnesses, and both
+    verdicts of each predicate are seen."""
+    alg = request.getfixturevalue(name)
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(count):
+        S = sparse_table(alg, rng)
+        subspace, ideal = is_cif_subspace(S), is_cif_ideal(S)
+        assert subspace == quadratic_is_cif_subspace(S)
+        assert ideal == quadratic_is_cif_ideal(S)
+        outcomes.add((subspace.ok, ideal.ok))
+    assert {(False, False), (True, False)} <= outcomes
+
+
+def test_failing_witness_scans_read_only_the_raised_rows(monkeypatch):
+    """On F_5^5 (the L5 table over F_5, |V| = 3125), two raised lines
+    fail the subspace check and the odd line span((0,1,2,0,0)) the ideal
+    check, with the pairwise definitions' first witnesses.  The rescans
+    compare degrees on pairs of raised vectors only (the lines and the
+    zero pin), and bracket each raised vector with every vector, both
+    sides: not the |V|^2 pairs of a full rescan."""
+    e = (1, 0, 0, 0, 0)
+    alg = superalgebra_from_pairs(
+        PrimeField(5), (0, 1, 1, 0, 1), {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0, 0), (4, 4): e}
+    )
+    leqs, brackets = [], []
+
+    def counted_leq(a, b):
+        leqs.append(1)
+        return deg_leq(a, b)
+
+    def counted_bracket(alg, x, y):
+        brackets.append(1)
+        return bracket_eval(alg, x, y)
+
+    monkeypatch.setattr(cifset_module, "deg_leq", counted_leq)
+    monkeypatch.setattr(cifset_module, "bracket_eval", counted_bracket)
+    two_lines = make_cifset(
+        alg, [(x, cif_degree("1/2", "1/2", "1/4", "1/4")) for x in lines(alg, (1, 0, 0, 0, 3), (1, 2, 0, 4, 1))], EMPTY
+    )
+    assert is_cif_subspace(two_lines).witness == "additivity (membership): x=(1, 0, 0, 0, 3), y=(1, 2, 0, 4, 1)"
+    raised, p = 9, alg.field.p
+    assert 0 < len(leqs) <= 2 * (raised * p + raised**2) and not brackets
+    leqs.clear()
+    odd_line = make_cifset(alg, [(x, FULL) for x in lines(alg, (0, 1, 2, 0, 0))], EMPTY)
+    assert is_cif_ideal(odd_line).witness == "bracket clause (membership): x=(0, 1, 0, 0, 0), y=(0, 1, 2, 0, 0)"
+    raised = 5
+    assert 0 < len(brackets) <= 2 * raised * alg.size
+    assert len(leqs) <= 2 * len(brackets)
+
+
+def test_predicates_match_pairwise_definitions_on_mixed_brackets(gl11_F3, osp12_F3):
+    """gl(1|1) and osp(1|2) bracket even with odd.  There, generated sets
+    and random tables get the pairwise definitions' verdicts and
+    witnesses, and each verdict pair is seen.  A pairwise check that
+    passes the subspace clause costs |V|^2 pairs, about 0.5 s on
+    osp(1|2), so osp(1|2) gets only random tables, which fail it."""
+    outcomes = set()
+    for seed in (1, 3):  # a CIF subspace that is no ideal, and an ideal
+        S = gen_pair(make_config(seed, gl11_F3), kind=PAIR_KINDS[seed])[0]
+        for T in (S, random_table(gl11_F3, random.Random(seed)), random_table(osp12_F3, random.Random(seed))):
+            assert_same_predicates(T)
+            outcomes.add((is_cif_subspace(T).ok, is_cif_ideal(T).ok))
+    assert outcomes == {(False, False), (True, False), (True, True)}

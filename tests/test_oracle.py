@@ -40,7 +40,7 @@ PAIR_KINDS = ("set", "subspace", "graded", "ideal")
 SPAN_NAMES = {
     "SpanBuilder", "SubspaceBasis", "span_closure", "_component", "_grow", "_label", "rank_encode",
     "rank_steps", "from_columns", "per_split", "_carrier_bits", "_translate", "_achievable",
-    "_clashing_keys",
+    "_clashing_keys", "_ideal",
 }
 
 
@@ -193,6 +193,18 @@ def test_oracle_matches_ladder_on_729_vectors(F3):
         K = bracket_product_oracle(A, B)
         assert not is_trivial(K)
         assert first_difference(bracket_product(A, B), K) is None
+
+
+@pytest.mark.parametrize("name", ["gl11_F3", "osp12_F3", "gl11_F5"])
+def test_oracle_matches_ladder_on_mixed_brackets(request, name):
+    """gl(1|1) and osp(1|2) bracket even with odd, and osp(1|2) is
+    perfect: ladder and oracle agree on a generated subspace pair and a
+    random pair."""
+    alg = request.getfixturevalue(name)
+    for A, B in seeded_pairs(alg, 3)[1:]:
+        K = bracket_product_oracle(A, B)
+        assert first_difference(bracket_product(A, B), K) is None
+    assert not is_trivial(K)
 
 
 def test_oracle_does_not_read_through_the_ladder_decoder(H, monkeypatch):

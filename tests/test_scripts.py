@@ -54,14 +54,20 @@ def test_time_kernels_on_h(H):
     ] + [
         ("palette", "bracket_product_oracle"), ("per-vector", "bracket_product_oracle"),
         ("palette", "parse_spec"), ("per-vector", "parse_spec"), ("algebra", "validate_superalgebra"),
-        ("subspace", "is_cif_subspace"), ("ideal", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
+        ("subspace", "is_cif_subspace"), ("ideal", "is_cif_ideal"),
+        ("two-lines", "is_cif_subspace"), ("odd-line", "is_cif_ideal"), ("palette", "image"), ("per-vector", "image"),
         ("per-vector", "Degree"), ("pool", "make_config"),
         ("config", "gen_pair"), ("config", "gen_cif_ideal"), ("config", "gen_anti_hom"),
         ("subspace", "rank_encode"), ("palette", "rank_encode"), ("per-vector", "rank_encode"),
     ]
-    # both predicate rows time a passing check
-    passing = hashlib.sha256(repr(Report(True)).encode()).hexdigest()[:16]
-    assert [r["digest"] for r in rows if r["operation"].startswith("is_cif")] == [passing] * 2
+    # two predicate rows time a passing check, two a failing one, digested by its witness
+    witnesses = [
+        repr(Report(True)), repr(Report(True)),
+        "additivity (membership): x=(1, 0), y=(1, 2)", "bracket clause (membership): x=(0, 1), y=(0, 1)",
+    ]
+    assert [r["digest"] for r in rows if r["operation"].startswith("is_cif")] == [
+        hashlib.sha256(text.encode()).hexdigest()[:16] for text in witnesses
+    ]
     pool = hashlib.sha256(repr(make_config(0, H).degree_pool).encode()).hexdigest()[:16]
     assert [r["digest"] for r in rows if r["operation"] == "make_config"] == [pool]
     # the generator rows digest the draws of make_config(0, H)

@@ -150,6 +150,15 @@ def test_catalog_and_controls_on_larger_derived_algebras(request, name):
     assert [n for n in NEGATIVE_CONTROLS if f"{n}: not applicable" in report.note] == inapplicable
 
 
+@pytest.mark.parametrize("name", ["gl11_F3", "osp12_F3", "gl11_F5"])
+def test_catalog_on_mixed_brackets(request, name):
+    """Two trials of every law on gl(1|1) and osp(1|2), whose even parts
+    act on their odd parts.  Ladder and oracle are compared there in
+    test_oracle."""
+    cfg = make_config(7, request.getfixturevalue(name))
+    assert [tid for tid in THEOREM_IDS if not check_theorem(tid, cfg, 2).passed] == []
+
+
 GUARD_SPEC = """\
 field 3
 space H dim 2 parity 0 1
