@@ -28,7 +28,10 @@ draws its pool then), the generators at ``make_config(0, alg)``
 (``gen_pair`` of two CIF subspaces, ``gen_cif_ideal`` and
 ``gen_anti_hom``; the sets are digested by their fingerprints and the
 map by its matrix, so two trees that draw alike print equal digests) and
-``rank_encode`` of each input pair.
+``rank_encode`` of each input pair.  The last rows time whole commands:
+in-process ``run_cli`` of ``compute sum A B`` and ``check subspace A``
+on the palette and per-vector spec files, digested by the exit code and
+the stdout of the command.
 
 With ``--write-spec DIR`` nothing is timed: the palette and per-vector
 workspaces that the ``parse_spec`` rows parse are written to DIR as
@@ -40,10 +43,13 @@ one path printed per file, for timing ``ciflie`` commands on them.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +74,7 @@ from ciflie import (
     make_cifset,
     make_config,
     parse_spec,
+    run_cli,
     serialize,
     space_vectors,
     superalgebra_from_pairs,
@@ -166,8 +173,8 @@ def cases(name: str, alg):
     for kind in ("palette",) if alg.size > 625 else ("palette", "per-vector"):
         A, B = tables[kind]
         yield kind, "bracket_product_oracle", lambda A=A, B=B: bracket_product_oracle(A, B), table_fingerprint
-    for kind in ("palette", "per-vector"):
-        text = spec_text(alg, *tables[kind])
+    texts = {kind: spec_text(alg, *tables[kind]) for kind in ("palette", "per-vector")}
+    for kind, text in texts.items():
         yield kind, "parse_spec", lambda text=text: parse_spec(text), serialize
     yield "algebra", "validate_superalgebra", lambda: validate_superalgebra(alg), repr
     subspace = tables["subspace"][0]
@@ -193,6 +200,24 @@ def cases(name: str, alg):
     for kind in KINDS:
         A, B = tables[kind]
         yield kind, "rank_encode", lambda A=A, B=B: rank_encode(A, B), repr
+    with tempfile.TemporaryDirectory() as workdir:
+        for kind, text in texts.items():
+            path = Path(workdir) / f"{kind}.spec"
+            path.write_text(text)
+            for argv in (
+                ["compute", "sum", str(path), "--left", "A", "--right", "B"],
+                ["check", "subspace", str(path), "--name", "A"],
+            ):
+                yield kind, f"run_cli {argv[0]} {argv[1]}", lambda argv=argv: command(argv), str
+
+
+def command(argv: list[str]) -> str:
+    """In-process ``run_cli``: its exit code, a newline and its stdout;
+    stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    return f"{code}\n{out.getvalue()}"
 
 
 def best_of(repeat: int, call):

@@ -285,11 +285,12 @@ def per_split(kernel, alg: Superalgebra, groups: list[dict]) -> list:
     return results
 
 
-def _cut_clauses(alg: Superalgebra, steps) -> str | None:
+def _cut_clauses(alg: Superalgebra, steps, ideal: bool = True) -> str | None:
     """The first clause that a component's cuts (the vectors swept so far)
     break: "subspace" when a cut is not its span, else "bracket" when a cut
-    is not its ideal closure, grown from the vectors new to its span, else
-    None.  The cut that the last vectors join is the carrier."""
+    is not its ideal closure, grown from the vectors new to its span (only
+    if ``ideal``), else None.  The cut that the last vectors join is the
+    carrier."""
     index = _carrier_bits(alg.field.p, alg.dim)[0]
     cut, span, absorbs, swept = 0, 1, True, 0  # bit 0 is the zero vector
     for _, xs in steps:
@@ -302,7 +303,8 @@ def _cut_clauses(alg: Superalgebra, steps) -> str | None:
         span, gained = _grow(alg, span, xs)
         if cut != span:
             return "subspace"
-        absorbs = absorbs and _ideal(alg, span, gained)[0] == cut
+        if ideal and absorbs:
+            absorbs = _ideal(alg, span, gained)[0] == cut
     return None if absorbs else "bracket"
 
 
@@ -312,7 +314,8 @@ def is_cif_subspace(A: CIFSet) -> Report:
     Decided by the cut criterion; a failure is rescanned for its witness.
     """
     groups = rank_encode(A)[1]
-    if "subspace" in per_split(_cut_clauses, A.space, groups):
+    spans = per_split(lambda alg, steps: _cut_clauses(alg, steps, ideal=False), A.space, groups)
+    if "subspace" in spans:
         return _subspace_witness(A, groups[0])
     return Report(True)
 

@@ -18,13 +18,14 @@ skew-symmetry, and grading and Jacobi are untouched.  Semantic checks
 and carry line numbers.  Algebra axioms and map conditions are not load
 errors; they are what ``validate`` reports.
 
-Each parse keeps two memos: a coordinate token's int mod p, and a
-tuple of four degree tokens' CIFDegree, shared by the lines that repeat
-it.  A distinct tuple is decoded once, its four rationals straight into
-the degree checks; a coordinate token is read once, as a vector's tuple
-of tokens recurs only once per set while its tokens recur on nearly
-every line.  A memo fills on its key's first line, so a bad token fails
-there and the first error in file order is the one reported.
+An entry line costs a split and a hit in each of two memos of the
+parse: a tuple of coordinate tokens -> its vector mod p, and a tuple of
+four degree tokens -> its CIFDegree.  A miss reads its tokens through
+two more, a coordinate token -> its int mod p and a rational token ->
+its Fraction, so a token is decoded once however many keys hold it.  A
+memo fills on its key's first line, so a bad token fails there and the
+first error in file order is the one reported.  An integer is ASCII
+digits and a sign; ``int`` alone also reads ``_`` and other digits.
 """
 
 from __future__ import annotations
@@ -76,19 +77,10 @@ class Workspace:
     maps: dict[str, WorkspaceMap]
 
 
-def _parse_rational(token: str, line: int, what: str) -> Fraction:
-    num_s, slash, den_s = token.partition("/")
-    try:
-        num, den = int(num_s), int(den_s) if slash else 1
-        if den <= 0:
-            raise ValueError
-    except ValueError:
-        raise SpecError(line, f"{what}: '{token}' is not a rational") from None
-    return Fraction(num, den)
-
-
 def _parse_int(token: str, line: int, what: str) -> int:
     try:
+        if "_" in token or not token.isascii():
+            raise ValueError
         return int(token)
     except ValueError:
         raise SpecError(line, f"{what}: '{token}' is not an integer") from None
@@ -102,18 +94,6 @@ def _check_name(token: str, line: int) -> str:
     return token
 
 
-class _Memo(dict):
-    """Token -> value for one parse, filled on first sight by
-    ``parse(token, line)`` with the line being read."""
-
-    def __init__(self, parse) -> None:
-        self.parse, self.line = parse, 0
-
-    def __missing__(self, token: str):
-        value = self[token] = self.parse(token, self.line)
-        return value
-
-
 class _Loader:
     def __init__(self) -> None:
         self.field: PrimeField | None = None
@@ -122,20 +102,40 @@ class _Loader:
         self.set_decls: dict[str, tuple[str, CIFDegree]] = {}
         self.targets: dict[str, tuple[int, dict[Vector, CIFDegree]]] = {}  # set -> (dim, entries)
         self.map_decls: dict[str, tuple[str, str, str, tuple[Vector, ...]]] = {}
-        self.coords: _Memo | None = None  # made by stmt_field, closing over p only (no cycle)
+        self.vectors: dict[tuple[str, ...], Vector] = {}
+        self.coords: dict[str, int] = {}
         self.degrees: dict[tuple[str, ...], CIFDegree] = {}
+        self.rationals: dict[str, Fraction] = {}
 
-    def _degree(self, tokens: list[str], line: int) -> CIFDegree:
-        """Four rationals; the cifset and entry usage checks count them."""
-        key = tuple(tokens)
-        degree = self.degrees.get(key)
-        if degree is None:
-            mr, mw, nr, nw = [_parse_rational(t, line, "degree component") for t in key]
-            try:
-                degree = CIFDegree(Degree(mr, mw), Degree(nr, nw))
-            except ValueError as exc:
-                raise SpecError(line, str(exc)) from None
-            self.degrees[key] = degree
+    def _vector(self, key: tuple[str, ...], line: int) -> Vector:
+        """Memo miss: a tuple of coordinate tokens, read mod p."""
+        for t in key:
+            if t not in self.coords:
+                self.coords[t] = _parse_int(t, line, "coordinate") % self.field.p
+        vector = self.vectors[key] = tuple([self.coords[t] for t in key])
+        return vector
+
+    def _degree(self, key: tuple[str, ...], line: int) -> CIFDegree:
+        """Memo miss: four rationals, ``num/den`` or bare integers; the
+        cifset and entry usage checks count them."""
+        parts = []
+        for t in key:
+            q = self.rationals.get(t)
+            if q is None:
+                num_s, slash, den_s = t.partition("/")
+                try:
+                    num, den = int(num_s), int(den_s) if slash else 1
+                    if den <= 0 or "_" in t or not t.isascii():
+                        raise ValueError
+                except ValueError:
+                    raise SpecError(line, f"degree component: '{t}' is not a rational") from None
+                q = self.rationals[t] = Fraction(num, den)
+            parts.append(q)
+        mr, mw, nr, nw = parts
+        try:
+            degree = self.degrees[key] = CIFDegree(Degree(mr, mw), Degree(nr, nw))
+        except ValueError as exc:
+            raise SpecError(line, str(exc)) from None
         return degree
 
     def _need_field(self, line: int) -> PrimeField:
@@ -143,27 +143,26 @@ class _Loader:
             raise SpecError(line, "a field statement must come first")
         return self.field
 
-    def stmt_field(self, args: list[str], line: int) -> None:
+    def stmt_field(self, tokens: list[str], line: int) -> None:
         if self.field is not None:
             raise SpecError(line, "duplicate field statement")
-        if len(args) != 1:
+        if len(tokens) != 2:
             raise SpecError(line, "usage: field INT")
-        p = _parse_int(args[0], line, "field modulus")
+        p = _parse_int(tokens[1], line, "field modulus")
         try:
             self.field = PrimeField(p)
         except ValueError as exc:
             raise SpecError(line, str(exc)) from None
-        self.coords = _Memo(lambda t, at: _parse_int(t, at, "coordinate") % p)
 
-    def stmt_space(self, args: list[str], line: int) -> None:
+    def stmt_space(self, tokens: list[str], line: int) -> None:
         field = self._need_field(line)
-        if len(args) < 4 or args[1] != "dim" or args[3] != "parity":
+        if len(tokens) < 5 or tokens[2] != "dim" or tokens[4] != "parity":
             raise SpecError(line, "usage: space NAME dim INT parity BIT...")
-        name = _check_name(args[0], line)
+        name = _check_name(tokens[1], line)
         if name in self.space_decls:
             raise SpecError(line, f"duplicate space '{name}'")
-        dim = _parse_int(args[2], line, "dim")
-        bits = args[4:]
+        dim = _parse_int(tokens[3], line, "dim")
+        bits = tokens[5:]
         if len(bits) != dim:
             raise SpecError(line, f"expected {dim} parity bits, got {len(bits)}")
         parity = []
@@ -178,23 +177,23 @@ class _Loader:
         self.space_decls[name] = (dim, tuple(parity))
         self.pairs[name] = {}
 
-    def stmt_bracket(self, args: list[str], line: int) -> None:
+    def stmt_bracket(self, tokens: list[str], line: int) -> None:
         field = self._need_field(line)
-        if len(args) < 4 or args[3] != "->":
+        if len(tokens) < 5 or tokens[4] != "->":
             raise SpecError(line, "usage: bracket NAME i j -> c_1 ... c_n")
-        name = args[0]
+        name = tokens[1]
         if name not in self.space_decls:
             raise SpecError(line, f"unknown space '{name}'")
         dim, _ = self.space_decls[name]
-        i = _parse_int(args[1], line, "basis index")
-        j = _parse_int(args[2], line, "basis index")
+        i = _parse_int(tokens[2], line, "basis index")
+        j = _parse_int(tokens[3], line, "basis index")
         if not 0 <= i < dim or not 0 <= j < dim:
             raise SpecError(line, f"basis indices must be in 0..{dim - 1}")
         if i > j:
             raise SpecError(
                 line, "structure constants are declared on pairs i <= j only"
             )
-        coeffs = args[4:]
+        coeffs = tokens[5:]
         if len(coeffs) != dim:
             raise SpecError(line, f"expected {dim} constants, got {len(coeffs)}")
         if (i, j) in self.pairs[name]:
@@ -204,67 +203,63 @@ class _Loader:
         )
         self.pairs[name][(i, j)] = cell
 
-    def stmt_cifset(self, args: list[str], line: int) -> None:
+    def stmt_cifset(self, tokens: list[str], line: int) -> None:
         self._need_field(line)
-        if len(args) != 8 or args[1] != "on" or args[3] != "default":
+        if len(tokens) != 9 or tokens[2] != "on" or tokens[4] != "default":
             raise SpecError(line, "usage: cifset NAME on SPACE default R W RH WH")
-        name = _check_name(args[0], line)
+        name = _check_name(tokens[1], line)
         if name in self.set_decls:
             raise SpecError(line, f"duplicate cifset '{name}'")
-        space = args[2]
+        space = tokens[3]
         if space not in self.space_decls:
             raise SpecError(line, f"unknown space '{space}'")
-        default = self._degree(args[4:], line)
+        key = tuple(tokens[5:])
+        default = self.degrees.get(key) or self._degree(key, line)
         self.set_decls[name] = (space, default)
         self.targets[name] = (self.space_decls[space][0], {})
 
-    def stmt_entry(self, args: list[str], line: int) -> None:
-        target = self.targets.get(args[0]) if len(args) >= 2 else None
+    def stmt_entry(self, tokens: list[str], line: int) -> None:
+        target = self.targets.get(tokens[1]) if len(tokens) > 2 else None
         if target is None:
             self._need_field(line)
-            if len(args) < 2:
+            if len(tokens) < 3:
                 raise SpecError(line, "usage: entry NAME v_1 ... v_n deg R W RH WH")
-            raise SpecError(line, f"unknown cifset '{args[0]}'")
+            raise SpecError(line, f"unknown cifset '{tokens[1]}'")
         dim, entries = target
-        if len(args) != 1 + dim + 1 + 4 or args[1 + dim] != "deg":
+        if len(tokens) != dim + 7 or tokens[dim + 2] != "deg":
             raise SpecError(line, "usage: entry NAME v_1 ... v_n deg R W RH WH")
-        self.coords.line = line
-        coords = tuple(map(self.coords.__getitem__, args[1 : 1 + dim]))
-        degree = self._degree(args[2 + dim :], line)
+        vector_key, degree_key = tuple(tokens[2 : dim + 2]), tuple(tokens[dim + 3 :])
+        coords = self.vectors.get(vector_key) or self._vector(vector_key, line)
+        degree = self.degrees.get(degree_key) or self._degree(degree_key, line)
         if coords in entries:
             raise SpecError(line, f"duplicate entry for vector {coords}")
-        if coords == (0,) * dim and degree != FULL:
+        if not any(coords) and degree != FULL:
             raise SpecError(
                 line, "zero entry must match the pin (mem 1/1 1/1, non 0/1 0/1)"
             )
         entries[coords] = degree
 
-    def stmt_map(self, args: list[str], line: int) -> None:
+    def stmt_map(self, tokens: list[str], line: int) -> None:
         field = self._need_field(line)
-        if (
-            len(args) < 7
-            or args[2] != "->"
-            or args[4] != "kind"
-            or args[6] != "rows"
-        ):
+        if len(tokens) < 8 or tokens[3] != "->" or tokens[5] != "kind" or tokens[7] != "rows":
             raise SpecError(
                 line,
                 "usage: map NAME SPACE -> SPACE kind {plain|anti} rows c ... / ...",
             )
-        name = _check_name(args[0], line)
+        name = _check_name(tokens[1], line)
         if name in self.map_decls:
             raise SpecError(line, f"duplicate map '{name}'")
-        src, tgt = args[1], args[3]
+        src, tgt = tokens[2], tokens[4]
         for space in (src, tgt):
             if space not in self.space_decls:
                 raise SpecError(line, f"unknown space '{space}'")
-        kind = args[5]
+        kind = tokens[6]
         if kind not in ("plain", "anti"):
             raise SpecError(line, f"kind must be 'plain' or 'anti', got '{kind}'")
         src_dim, _ = self.space_decls[src]
         tgt_dim, _ = self.space_decls[tgt]
         rows: list[list[int]] = [[]]
-        for token in args[7:]:
+        for token in tokens[8:]:
             if token == "/":
                 rows.append([])
             else:
@@ -313,15 +308,14 @@ def parse_spec(text: str) -> Workspace:
     """Parse a document; any problem raises a SpecError with its line."""
     loader = _Loader()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()
         if not tokens:
             continue
-        keyword, args = tokens[0], tokens[1:]
-        handler = _STATEMENTS.get(keyword)
+        handler = _STATEMENTS.get(tokens[0])
         if handler is None:
-            raise SpecError(lineno, f"unknown statement '{keyword}'")
+            raise SpecError(lineno, f"unknown statement '{tokens[0]}'")
         try:
-            handler(loader, args, lineno)
+            handler(loader, tokens, lineno)
         except SpecError:
             raise
         except Exception as exc:  # total parser: never crash on bad input

@@ -35,7 +35,7 @@ from ciflie import (
 )
 import ciflie.cifset as cifset_module
 from ciflie.bracket import bracket_product
-from ciflie.generators import make_config, gen_cif_subspace, gen_pair
+from ciflie.generators import make_config, gen_cif_ideal, gen_cif_subspace, gen_pair
 from oracles import pointwise_is_z2_graded, quadratic_is_cif_ideal
 
 E, F = (1, 0), (0, 1)
@@ -474,3 +474,23 @@ def test_from_columns_decodes_through_the_scales_it_is_given(L3, seed):
         assert not any(id(d) in inputs for d in result.table.values())
     assert cifset_module.from_columns(L3, columns, (), [*copied, scales[4]]) == reference
     assert cifset_module.from_columns(L3, columns, (), [*halved, scales[4]]) != reference
+
+
+def test_a_passing_subspace_check_makes_no_bracket_evaluation(L5, monkeypatch):
+    """The subspace check stops at the span clause of each cut; the ideal
+    check still closes each cut under the bracket, with its verdict."""
+    from ciflie.superalgebra import bracket_eval
+    from helpers import rebind_everywhere
+
+    ideal = gen_cif_ideal(make_config(0, L5))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket_eval(*args)
+
+    rebind_everywhere(bracket_eval, counted, monkeypatch.setattr)
+    assert is_cif_subspace(ideal)
+    assert calls == []
+    assert is_cif_ideal(ideal)
+    assert calls

@@ -522,9 +522,9 @@ def count_kernel_runs(monkeypatch) -> list[str]:
     ):
         kernel = getattr(module, name)
 
-        def counted(alg, steps, kernel=kernel, name=name):
+        def counted(alg, steps, kernel=kernel, name=name, **options):
             runs.append(name)
-            return kernel(alg, steps)
+            return kernel(alg, steps, **options)
 
         monkeypatch.setattr(module, name, counted)
     return runs

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ciflie import Report, gen_anti_hom, gen_cif_ideal, gen_pair, make_config, parse_spec
+from ciflie import Report, gen_anti_hom, gen_cif_ideal, gen_pair, make_config, parse_spec, run_cli
 from ciflie.cifset import table_fingerprint
 
 
@@ -20,6 +20,15 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def import_time_kernels():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import time_kernels
+    finally:
+        sys.path.pop(0)
+    return time_kernels
 
 
 def test_run_catalog_with_one_trial_keeps_the_controls_budget():
@@ -43,7 +52,7 @@ def test_oracle_sweep_small():
     assert lines[2].startswith("0 mismatches in ")
 
 
-def test_time_kernels_on_h(H):
+def test_time_kernels_on_h(H, tmp_path, capsys):
     done = run_script("time_kernels.py", "--algebras", "H", "--repeat", "1")
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
@@ -59,6 +68,8 @@ def test_time_kernels_on_h(H):
         ("per-vector", "Degree"), ("pool", "make_config"),
         ("config", "gen_pair"), ("config", "gen_cif_ideal"), ("config", "gen_anti_hom"),
         ("subspace", "rank_encode"), ("palette", "rank_encode"), ("per-vector", "rank_encode"),
+    ] + [
+        (kind, f"run_cli {command}") for kind in ("palette", "per-vector") for command in ("compute sum", "check subspace")
     ]
     # two predicate rows time a passing check, two a failing one, digested by its witness
     witnesses = [
@@ -80,6 +91,20 @@ def test_time_kernels_on_h(H):
     assert {r["operation"]: r["digest"] for r in rows if r["input"] == "config"} == {
         op: hashlib.sha256(text.encode()).hexdigest()[:16] for op, text in drawn.items()
     }
+    # the command rows digest the exit code and the stdout of run_cli on the spec files
+    time_kernels, commands = import_time_kernels(), {}
+    for kind in ("palette", "per-vector"):
+        path = tmp_path / f"{kind}.spec"
+        path.write_text(time_kernels.spec_text(H, *time_kernels.inputs("H", H, kind)))
+        for argv in (
+            ["compute", "sum", str(path), "--left", "A", "--right", "B"],
+            ["check", "subspace", str(path), "--name", "A"],
+        ):
+            code = run_cli(argv)
+            text = f"{code}\n{capsys.readouterr().out}"
+            commands[kind, f"run_cli {argv[0]} {argv[1]}"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+            assert text.startswith("0\n# vector") if argv[0] == "compute" else text == "3\nsubspace A: FAIL\n"
+    assert {(r["input"], r["operation"]): r["digest"] for r in rows if r["operation"].startswith("run_cli")} == commands
     assert all(r["algebra"] == "H" and r["size"] == 9 and r["best_s"] > 0 for r in rows)
 
 
@@ -91,11 +116,7 @@ def test_time_kernels_writes_the_spec_files_it_parses(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     names = ["H-palette.spec", "H-per-vector.spec", "F5_5-palette.spec", "F5_5-per-vector.spec"]
     assert done.stdout.splitlines() == [str(tmp_path / "specs" / name) for name in names]
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import time_kernels
-    finally:
-        sys.path.pop(0)
+    time_kernels = import_time_kernels()
     known = time_kernels.algebras()
     for name in names:
         algebra, kind = name.removesuffix(".spec").replace("_", "^").split("-", 1)

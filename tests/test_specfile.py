@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from ciflie import (
     EMPTY,
+    PrimeField,
     SpecError,
     cif_degree,
     gen_random_table,
     make_cifset,
     parse_spec,
+    run_cli,
     serialize,
     space_vectors,
+    superalgebra_from_pairs,
 )
 from ciflie.degrees import FULL, Degree
 from ciflie.specfile import Workspace, WorkspaceSet
@@ -168,22 +171,22 @@ def test_largest_supported_carriers_load():
         parse_spec("field 2\nspace X dim 7 parity 0 0 0 0 0 0 0\n")
 
 
-def _l5_workspaces(L5):
-    """L5 workspaces: one set with a degree per nonzero vector, one with
-    a 24-degree palette, and one holding both."""
-    vectors = [x for x in space_vectors(L5) if x != L5.zero()]
+def _workspaces(alg):
+    """Workspaces on ``alg``: one set with a degree per nonzero vector,
+    one with a 24-degree palette, and one holding both."""
+    vectors = [x for x in space_vectors(alg) if x != alg.zero()]
     n = len(vectors)
     order = random.Random(4).sample(range(n), n)
     degrees = [
         cif_degree(Fraction(i, n), Fraction(n - i, n), Fraction(n - 1 - i, n), Fraction(i, 2 * n))
         for i in order
     ]
-    distinct = make_cifset(L5, list(zip(vectors, degrees)), EMPTY)
-    palette = gen_random_table(L5, random.Random(5))
+    distinct = make_cifset(alg, list(zip(vectors, degrees)), EMPTY)
+    palette = gen_random_table(alg, random.Random(5))
     sets = {"D": WorkspaceSet("L", EMPTY, distinct), "P": WorkspaceSet("L", EMPTY, palette)}
     return [
-        Workspace(L5.field, {"L": L5}, {name: sets[name]}, {}) for name in sets
-    ] + [Workspace(L5.field, {"L": L5}, sets, {})]
+        Workspace(alg.field, {"L": alg}, {name: sets[name]}, {}) for name in sets
+    ] + [Workspace(alg.field, {"L": alg}, sets, {})]
 
 
 def _degree_tuples(text):
@@ -191,7 +194,7 @@ def _degree_tuples(text):
 
 
 def test_round_trip_l5_with_distinct_and_repeated_degrees(L5):
-    per_vector, palette, both = _l5_workspaces(L5)
+    per_vector, palette, both = _workspaces(L5)
     assert len(_degree_tuples(serialize(per_vector))) == L5.size - 1
     assert len(_degree_tuples(serialize(palette))) <= 24
     for ws in (per_vector, palette, both):
@@ -207,7 +210,7 @@ def test_each_distinct_degree_tuple_is_validated_once(L5, monkeypatch):
     built = []
     original = Degree.__post_init__
     monkeypatch.setattr(Degree, "__post_init__", lambda d: built.append(d) or original(d))
-    for ws in _l5_workspaces(L5):
+    for ws in _workspaces(L5):
         text = serialize(ws)
         built.clear()
         parse_spec(text)
@@ -343,3 +346,173 @@ def test_catch_alls_turn_any_other_error_into_a_spec_error(monkeypatch):
     monkeypatch.setattr(specfile, "CIFSet", boom)
     with pytest.raises(SpecError, match=r"^line 0: inconsistent document: boom$"):
         parse_spec(SPACE_H + SET_A)
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ("field 1_1\n", "line 1: field modulus: '1_1' is not an integer"),
+        ("field \u0663\n", "line 1: field modulus: '\u0663' is not an integer"),
+        ("field 3\nspace X dim \u0661 parity 0\n", "line 2: dim: '\u0661' is not an integer"),
+        (SPACE_H + "bracket H 0_1 1 -> 1 0\n", "line 3: basis index: '0_1' is not an integer"),
+        (SPACE_H + "bracket H 1 1 -> \u0661 0\n", "line 3: structure constant: '\u0661' is not an integer"),
+        (SPACE_H + SET_A + "entry A 1_0 \u0662 deg 1_0/2_0 1/2 0 1\n", "line 4: coordinate: '1_0' is not an integer"),
+        (SPACE_H + SET_A + "entry A 0 \u0662 deg 1/2 1/2 0 1\n", "line 4: coordinate: '\u0662' is not an integer"),
+        (
+            SPACE_H + SET_A + "entry A 0 1 deg 1_0/2_0 1/2 0 1\n",
+            "line 4: degree component: '1_0/2_0' is not a rational",
+        ),
+        (SPACE_H + SET_A + "entry A 0 1 deg 1/\u0662 1/2 0 1\n", "line 4: degree component: '1/\u0662' is not a rational"),
+        (SPACE_H + "cifset A on H default 0 0 1_0/1_0 1\n", "line 3: degree component: '1_0/1_0' is not a rational"),
+        (
+            SPACE_H + "map phi H -> H kind anti rows 1 0 / 0 \u0661\n",
+            "line 3: matrix entry: '\u0661' is not an integer",
+        ),
+    ],
+)
+def test_only_ascii_digits_make_an_integer(doc, message):
+    """``int`` also reads underscores and other scripts' digits; the
+    grammar's INT and num/den are ASCII digits with an optional sign."""
+    with pytest.raises(SpecError) as info:
+        parse_spec(doc)
+    assert str(info.value) == message
+
+
+def test_signed_integers_still_load():
+    ws = parse_spec(SPACE_H + SET_A + "entry A -1 +2 deg +1/+2 1/2 -0 1\n")
+    assert ws.sets["A"].cifset.table[(2, 2)] == cif_degree("1/2", "1/2", 0, 1)
+
+
+@pytest.fixture(scope="module")
+def F5_5():
+    """The L5 bracket table over F_5 (|V| = 3125, the carrier limit)."""
+    e = (1, 0, 0, 0, 0)
+    return superalgebra_from_pairs(
+        PrimeField(5), (0, 1, 1, 0, 1), {(1, 1): e, (1, 2): e, (2, 2): (2, 0, 0, 0, 0), (4, 4): e}
+    )
+
+
+def _respaced(text, rng):
+    """``text`` with every line re-rendered: its tokens parted by runs of
+    spaces and tabs, led by one, and followed by a comment that would be
+    a bad statement if it were read."""
+    gaps = (" ", "  ", "\t", " \t ", "\t\t")
+    lines = []
+    for line in text.splitlines():
+        body = "".join(rng.choice(gaps) + token for token in line.split())
+        lines.append(body + rng.choice(gaps + ("",)) + rng.choice(("# note", "#entry Q x deg 1/0", "##")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["L5", "F5_5"])
+def test_respaced_and_commented_lines_parse_alike(name, request):
+    per_vector, palette, _ = _workspaces(request.getfixturevalue(name))
+    for ws in (per_vector, palette):
+        text = serialize(ws)
+        for seed in range(2):
+            assert parse_spec(_respaced(text, random.Random(seed))) == ws
+
+
+@pytest.fixture(scope="module")
+def l5_text(L5):
+    """The serialized L5 workspace holding a per-vector set D and a
+    palette set P."""
+    return serialize(_workspaces(L5)[2])
+
+
+def _mutated(text, kind, seed):
+    """``text`` with one entry line, drawn by ``seed``, broken as ``kind``
+    says, and the number of the line that is to be refused."""
+    lines = text.splitlines()
+    p = int(lines[0].split()[1])
+    rng = random.Random(seed)
+    name = rng.choice("DP")
+    j, i = sorted(rng.sample([k for k, line in enumerate(lines) if line.startswith(f"entry {name} ")], 2))
+    tokens = lines[i].split()
+    coords, degree = tokens[2:-5], tokens[-4:]
+    at = rng.randrange(len(coords))
+    if kind == "before cifset":
+        c = lines.index(next(line for line in lines if line.startswith(f"cifset {name} ")))
+        return "\n".join(lines[:c] + [lines[i]] + lines[c:i] + lines[i + 1 :]) + "\n", c + 1
+    if kind == "coordinate":
+        coords[at] = "x"
+    elif kind == "rational":
+        degree[at % 4] = "1/0"
+    elif kind == "budget":
+        degree = ["3/4", "0", "1/2", "0"]
+    elif kind in ("duplicate", "unreduced duplicate"):
+        coords = lines[j].split()[2:-5]
+        if kind == "unreduced duplicate":
+            coords[at] = str(int(coords[at]) + p)
+    elif kind == "zero pin":
+        coords = ["0"] * len(coords)
+        coords[at] = str(p)
+    elif kind == "arity":
+        del coords[at]
+    elif kind == "unknown set":
+        name = "Q"
+    lines[i] = " ".join(["entry", name, *coords, "deg", *degree])
+    return "\n".join(lines) + "\n", i + 1
+
+
+# Each mutation's refusal, recorded on the loader before its memos keyed
+# whole vectors and degree tuples.
+MUTATIONS = [
+    ("coordinate", 0, "line 478: coordinate: 'x' is not an integer"),
+    ("coordinate", 1, "line 224: coordinate: 'x' is not an integer"),
+    ("rational", 2, "line 31: degree component: '1/0' is not a rational"),
+    ("rational", 3, "line 159: degree component: '1/0' is not a rational"),
+    ("budget", 4, 'line 85: amplitude budget exceeded: 3/4 + 1/2 > 1'),
+    ("budget", 5, 'line 440: amplitude budget exceeded: 3/4 + 1/2 > 1'),
+    ("duplicate", 6, 'line 203: duplicate entry for vector (1, 1, 1, 2, 2)'),
+    ("duplicate", 7, 'line 352: duplicate entry for vector (0, 1, 1, 1, 0)'),
+    ("unreduced duplicate", 8, 'line 104: duplicate entry for vector (1, 0, 1, 1, 2)'),
+    ("unreduced duplicate", 9, 'line 407: duplicate entry for vector (1, 0, 1, 2, 0)'),
+    ("zero pin", 10, 'line 131: zero entry must match the pin (mem 1/1 1/1, non 0/1 0/1)'),
+    ("zero pin", 11, 'line 472: zero entry must match the pin (mem 1/1 1/1, non 0/1 0/1)'),
+    ("arity", 12, 'line 419: usage: entry NAME v_1 ... v_n deg R W RH WH'),
+    ("arity", 13, 'line 426: usage: entry NAME v_1 ... v_n deg R W RH WH'),
+    ("unknown set", 14, "line 187: unknown cifset 'Q'"),
+    ("unknown set", 15, "line 141: unknown cifset 'Q'"),
+    ("before cifset", 16, "line 250: unknown cifset 'P'"),
+    ("before cifset", 1, "line 7: unknown cifset 'D'"),
+]
+
+
+@pytest.mark.parametrize(("kind", "seed", "message"), MUTATIONS)
+def test_a_mutated_line_is_refused_at_its_line(l5_text, kind, seed, message):
+    text, line = _mutated(l5_text, kind, seed)
+    with pytest.raises(SpecError) as info:
+        parse_spec(text)
+    assert info.value.line == line
+    assert str(info.value) == message
+
+
+def test_of_two_bad_lines_the_first_is_refused(l5_text):
+    in_place = [m for m in MUTATIONS if m[0] != "before cifset"]
+    for (kind, seed, message), (other, other_seed, other_message) in zip(in_place, in_place[1:] + in_place[:1]):
+        first, line = _mutated(l5_text, kind, seed)
+        second, other_line = _mutated(l5_text, other, other_seed)
+        assert line != other_line
+        lines = second.splitlines()
+        lines[line - 1] = first.splitlines()[line - 1]
+        with pytest.raises(SpecError) as info:
+            parse_spec("\n".join(lines) + "\n")
+        assert str(info.value) == (message if line < other_line else other_message)
+
+
+def test_a_bad_line_in_a_set_the_command_does_not_read_refuses_the_file(L5, tmp_path, capsys):
+    per_vector, palette, _ = _workspaces(L5)
+    sets = {"S1": palette.sets["P"], "S2": per_vector.sets["D"]}
+    lines = serialize(Workspace(L5.field, {"L": L5}, sets, {})).splitlines()
+    bad = max(i for i, line in enumerate(lines) if line.startswith("entry S2 "))
+    path = tmp_path / "two.spec"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["check", "subspace", str(path), "--name", "S1"]) == 3
+    lines[bad] = lines[bad].split(" deg ")[0] + " deg 3/4 0 1/2 0"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["check", "subspace", str(path), "--name", "S1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"load error: line {bad + 1}: amplitude budget exceeded: 3/4 + 1/2 > 1\n"
