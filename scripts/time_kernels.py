@@ -4,14 +4,16 @@
 Prints one sorted-key JSON line per (algebra, input kind, operation)
 with the best-of-N wall time of one call and a digest of its result, so
 two trees can be compared on the same inputs.  The algebras are H
-(|V| = 9), L3 (27), L5 (243), L4 (F_5^4, 625) and F5^5 (the L5 bracket
-table over F_5, 3125).  The input kinds are a generated pair of CIF
-subspaces, two random tables over a 24-degree palette, and two random
-tables that give every nonzero vector its own degree.  Each kind is
-summed and bracketed, and the random tables are bracketed again by the
-coset oracle ``bracket_product_oracle``, which enumerates all |V|^2
-pairs; on F5^5 only the palette tables are, since the per-vector pair
-takes about half a minute.  The steps that every ``ciflie`` command pays
+(|V| = 9), L3 (27), L5 (243), osp12 (osp(1|2) over F_3, 243, the
+structure constants of ``tests/conftest.py``), L4 (F_5^4, 625) and F5^5
+(the L5 bracket table over F_5, 3125).  osp(1|2) is perfect, so its
+brackets reach every vector; the others bracket into a centre of rank at
+most 2.  The input kinds are a generated pair of CIF subspaces, two
+random tables over a 24-degree palette, and two random tables that give
+every nonzero vector its own degree.  Each kind is summed and bracketed,
+and the random tables are bracketed again by the coset oracle
+``bracket_product_oracle``, which enumerates all |V|^2 pairs, reading
+each distinct row [a, B] once.  The steps that every ``ciflie`` command pays
 before its operation follow: ``parse_spec`` of the serialized palette
 and per-vector workspaces (two sets each), ``validate_superalgebra`` of
 the algebra, the predicates ``is_cif_subspace`` of the generated
@@ -93,10 +95,18 @@ def algebras() -> dict:
     F3, F5 = PrimeField(3), PrimeField(5)
     e3, e4, e5 = (1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0, 0)
     l5_pairs = {(1, 1): e5, (1, 2): e5, (2, 2): (2, 0, 0, 0, 0), (4, 4): e5}
+    # osp(1|2): even h, e, f and odd x, y (Kac, "Lie superalgebras", 1977)
+    osp12_pairs = {
+        (0, 1): (0, 2, 0, 0, 0), (0, 2): (0, 0, -2, 0, 0), (1, 2): (1, 0, 0, 0, 0),
+        (0, 3): (0, 0, 0, 1, 0), (0, 4): (0, 0, 0, 0, -1), (1, 4): (0, 0, 0, -1, 0),
+        (2, 3): (0, 0, 0, 0, -1), (3, 3): (0, 2, 0, 0, 0), (4, 4): (0, 0, -2, 0, 0),
+        (3, 4): (1, 0, 0, 0, 0),
+    }
     return {
         "H": superalgebra_from_pairs(F3, (0, 1), {(1, 1): (1, 0)}),
         "L3": superalgebra_from_pairs(F3, (0, 1, 1), {(1, 1): e3, (1, 2): e3, (2, 2): (2, 0, 0)}),
         "L5": superalgebra_from_pairs(F3, (0, 1, 1, 0, 1), l5_pairs),
+        "osp12": superalgebra_from_pairs(F3, (0, 0, 0, 1, 1), osp12_pairs),
         "L4": superalgebra_from_pairs(F5, (0, 1, 1, 0), {(1, 1): e4, (1, 2): e4, (2, 2): (2, 0, 0, 0)}),
         "F5^5": superalgebra_from_pairs(F5, (0, 1, 1, 0, 1), l5_pairs),
     }
@@ -170,7 +180,7 @@ def cases(name: str, alg):
         A, B = tables[kind] = inputs(name, alg, kind)
         for op_name, op in OPERATIONS.items():
             yield kind, op_name, lambda op=op, A=A, B=B: op(A, B), table_fingerprint
-    for kind in ("palette",) if alg.size > 625 else ("palette", "per-vector"):
+    for kind in ("palette", "per-vector"):
         A, B = tables[kind]
         yield kind, "bracket_product_oracle", lambda A=A, B=B: bracket_product_oracle(A, B), table_fingerprint
     texts = {kind: spec_text(alg, *tables[kind]) for kind in ("palette", "per-vector")}
@@ -231,7 +241,7 @@ def best_of(repeat: int, call):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--algebras", default="H,L3,L5,L4,F5^5", help="comma-separated subset of H,L3,L5,L4,F5^5")
+    parser.add_argument("--algebras", default="H,L3,L5,osp12,L4,F5^5", help="comma-separated subset of H,L3,L5,osp12,L4,F5^5")
     parser.add_argument("--repeat", type=int, default=3, help="calls per operation; the best is reported")
     parser.add_argument("--write-spec", metavar="DIR", type=Path, help="write the palette and per-vector spec files, time nothing")
     args = parser.parse_args()

@@ -36,11 +36,12 @@ level subgroups of a fuzzy group; Zadeh's resolution identity): each
 crisp bracket g is seeded with its best single-term value, and the
 seeds, swept best first, grow the additive closure one coset at a time,
 so each vector is reached once.  It enumerates all |V|^2 argument pairs,
-a row [a, B] at a time off the basis table [e_i, e_j], but ranks only
-the distinct degrees, exactly, and seeds and closes once per split of
-its own.  It uses vector addition only, no spans, echelon forms, rank
-encoder, ``per_split`` or result decoder of the ladder's; it shares
-``bracket_eval``, the vector operations, ``space_vectors`` and
+reading each distinct row [a, B] once off the basis table [e_i, e_j] and
+reducing it mod p for that row only, so it holds O(|V|) codes at a time.
+It ranks only the distinct degrees, exactly, and seeds and closes once
+per split of its own.  It uses vector addition only, no spans, echelon
+forms, rank encoder, ``per_split`` or result decoder of the ladder's; it
+shares ``bracket_eval``, the vector operations, ``space_vectors`` and
 ``COMPONENTS``.  Agreement between the two is the module's keystone
 correctness property.  It takes every carrier the package accepts
 (MAX_CARRIER = 3125 vectors).
@@ -207,20 +208,18 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     vectors never reached the component default.
 
     Only the distinct degrees are ranked, exactly, and components that
-    rank every degree alike are seeded and closed once.  One a at a time,
-    [a, b] is read off the basis table [e_i, e_j] for every b, by
-    bilinearity, and reduced mod p; each bracket takes the rank of its
-    best b, found scanning B best first until every bracket of the row
-    has been seen.
+    rank every degree alike are seeded and closed once.  The row [a, B]
+    is fixed by the codes of [a, e_j], so A's vectors are grouped by them
+    and each distinct row is read once: [a, b] for every b, off the basis
+    table [e_i, e_j] by bilinearity, reduced mod p in a memo that lives
+    for that row only.  Each b of the row then folds in the worse of its
+    rank and the best rank among the row's a's.
     """
     alg = _same_space(A, B)
     p, dim = alg.field.p, alg.dim
     vectors = space_vectors(alg)
-    by_degree: tuple[dict, dict] = ({}, {})  # degree -> A's vectors, B's indices
-    for i, x in enumerate(vectors):
-        by_degree[0].setdefault(A.table[x], []).append(x)
-        by_degree[1].setdefault(B.table[x], []).append(i)
-    degrees = [*by_degree[0], *by_degree[1]]
+    tables = [[S.table[x] for x in vectors] for S in (A, B)]  # each side's degrees in carrier order
+    degrees = [*dict.fromkeys(tables[0]), *dict.fromkeys(tables[1])]
     exact = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
     levels, ranks = [], []  # per component: the default, the values worst first; each degree's rank
     for side, attr, descending, default in COMPONENTS:
@@ -236,42 +235,37 @@ def bracket_product_oracle(A: CIFSet, B: CIFSet) -> CIFSet:
     # via a list, since tuple(generator) resizes as it grows, fragmenting the heap
     first: dict[tuple, int] = {}
     reps = [first.setdefault(tuple([k[c] for k in keys]), c) for c in range(len(COMPONENTS))]
-    classes = dict(zip(keys, by_degree[0].values()))  # A's vectors by ranks
-    b_rank = {i: k for k, bs in zip(keys[len(classes) :], by_degree[1].values()) for i in bs}
-    # per split, B's ranks and indices, best first
-    best_first = {c: sorted(((k[c], i) for i, k in b_rank.items()), reverse=True) for c in first.values()}
+    key_of = dict(zip(degrees, keys))  # degree -> its ranks
+    b_ranks = {c: [key_of[d][c] for d in tables[1]] for c in first.values()}  # per split, in carrier order
 
     # [a, b] is built as an unreduced code, w bits a coordinate, and
-    # reduced mod p once per distinct code.  A coordinate sums dim^2 terms
-    # a_i * b_j * [e_i, e_j]_k, each at most (p-1)^3, so it stays below 2^w.
+    # reduced mod p once per distinct code of its row.  A coordinate sums
+    # dim^2 terms a_i * b_j * [e_i, e_j]_k, each at most (p-1)^3, so it
+    # stays below 2^w.
     w = (dim * dim * (p - 1) ** 3).bit_length()
     basis = [alg.basis(i) for i in range(dim)]  # the table: per j, the codes of [e_i, e_j] over i
     table = [[sum(c << w * k for k, c in enumerate(bracket_eval(alg, e, f))) for e in basis] for f in basis]
-    canon: dict[int, int] = {}  # code -> the code of its reduction mod p
+    # a's row is fixed by the codes of [a, e_j]; a row seeds each split at
+    # the best rank among its a's, since max over a of min(r_a, t) is
+    # min(max r_a, t)
+    by_row: dict[tuple, tuple] = {}
+    for a, d in zip(vectors, tables[0]):
+        key, ra = tuple([sum(map(mul, a, column)) for column in table]), key_of[d]
+        by_row[key] = tuple(map(max, ra, by_row.get(key, ra)))
     seeds: dict[int, dict[int, int]] = {c: {} for c in first.values()}  # per split, reduced code -> rank
-    for ra, xs in classes.items():
-        for a in xs:
-            row = [0]  # [a, b] for every b, in carrier order
-            for column in table:
-                col = sum(map(mul, a, column))
-                steps = [k * col for k in range(p)]
-                row = [x + s for x in row for s in steps]
-            codes = set(row)
-            for g in codes.difference(canon):
-                canon[g] = sum((g >> w * k) % (1 << w) % p << w * k for k in range(dim))
-            count = len({canon[g] for g in codes})  # the distinct brackets of the row
-            for c, best in seeds.items():
-                top: dict[int, int] = {}  # each bracket's first, so best, rank
-                for t, i in best_first[c]:
-                    g = canon[row[i]]
-                    if g not in top:
-                        top[g] = t
-                        if len(top) == count:
-                            break
-                for g, t in top.items():
-                    t = min(ra[c], t)  # a pair ranks as the worse of its two
-                    if best.get(g, -1) < t:
-                        best[g] = t
+    for key, ra in by_row.items():
+        row = [0]  # [a, b] for every b, in carrier order
+        for col in key:
+            steps = [k * col for k in range(p)]
+            row = [x + s for x in row for s in steps]
+        canon = {g: sum((g >> w * k) % (1 << w) % p << w * k for k in range(dim)) for g in set(row)}
+        row = [canon[g] for g in row]
+        for c, best in seeds.items():
+            top = ra[c]
+            for g, t in zip(row, b_ranks[c]):
+                t = t if t < top else top  # a pair ranks as the worse of its two
+                if best.get(g, 0) < t:
+                    best[g] = t
 
     vector = {g: tuple((g >> w * k) % (1 << w) for k in range(dim)) for g in seeds[0]}
     columns = {}

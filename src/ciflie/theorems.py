@@ -127,16 +127,11 @@ def _run_lem_2(cfg, rng):
     return witness, (A1, A2, B)
 
 
-def _lem1_inputs(cfg, rng):
+def _run_lem_1(cfg, rng):
     """A1 <= A2 and B1 <= B2 for arbitrary sets."""
     A2, B2 = gen_pair(cfg, rng, kind="set")
     A1 = intersection(gen_cif_set(cfg, rng), A2)
     B1 = intersection(gen_cif_set(cfg, rng), B2)
-    return A1, B1, A2, B2
-
-
-def _run_lem_1(cfg, rng):
-    A1, B1, A2, B2 = _lem1_inputs(cfg, rng)
     witness = _subset_witness(
         "[A1,B1] <= [A2,B2]", bracket_product(A1, B1), bracket_product(A2, B2)
     )
@@ -359,7 +354,13 @@ def _nonideal_graded_subspace(alg: Superalgebra, rng: random.Random) -> int | No
 
 
 def _control_lem1_reversed(cfg, rng):
-    A1, B1, A2, B2 = _lem1_inputs(cfg, rng)
+    """A1 and B1 are graded CIF subspaces cut down to arbitrary A2 and
+    B2, so [A1, B1] falls short of [A2, B2] also on algebras where the
+    brackets of arbitrary subsets often reach the same cuts (osp(1|2),
+    gl(1|1))."""
+    A2, B2 = gen_pair(cfg, rng, kind="set")
+    A1 = intersection(gen_cif_subspace(cfg, rng, graded=True), A2)
+    B1 = intersection(gen_cif_subspace(cfg, rng, graded=True), B2)
     return not subset_of(bracket_product(A2, B2), bracket_product(A1, B1))
 
 
@@ -422,30 +423,19 @@ def negative_controls(cfg: GenConfig, trials: int = 200) -> TheoremReport:
     total = 0
     for name, control in NEGATIVE_CONTROLS.items():
         ccfg = make_config(derive_seed(cfg.seed, _name_tag(name)), cfg.algebra)
-        falsified_at: int | None = None
-        applicable = True
         for index in range(trials):
             tcfg = trial_config(ccfg, index)
             outcome = control(tcfg, tcfg.rng())
             total += 1
             if outcome is None:
-                applicable = False
+                notes.append(f"{name}: not applicable on this algebra")
                 break
             if outcome:
-                falsified_at = tcfg.seed
+                notes.append(f"{name}: falsified at seed {tcfg.seed}")
                 break
-        if not applicable:
-            notes.append(f"{name}: not applicable on this algebra")
-        elif falsified_at is None:
-            failures.append(
-                TrialFailure(
-                    cfg.seed,
-                    "-",
-                    f"control {name} produced no failure in {trials} trials",
-                )
-            )
         else:
-            notes.append(f"{name}: falsified at seed {falsified_at}")
+            message = f"control {name} produced no failure in {trials} trials"
+            failures.append(TrialFailure(cfg.seed, "-", message))
     return TheoremReport(
         "neg-controls", total, tuple(failures), note="; ".join(notes)
     )

@@ -9,6 +9,7 @@ The three share no code, so their agreement checks each of them.
 
 import inspect
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -103,7 +104,12 @@ MUTANTS = {
         "coset = [g]",
     ),
     # a pair counts with the better of its two values, not the worse
-    "max-seeds": ("t = min(ra[c], t)", "t = max(ra[c], t)"),
+    "max-seeds": ("t = t if t < top else top", "t = t if t > top else top"),
+    # a row shared by several a's seeds at the worst of their values, not the best
+    "worst-row-rank": ("tuple(map(max, ra, by_row.get(key, ra)))", "tuple(map(min, ra, by_row.get(key, ra)))"),
+    # a's row is looked up without its last column code, so rows that
+    # differ there merge and each is built one column short
+    "row-map-short": ("for column in table])", "for column in table[:-1]])"),
     # splits compared by their number of levels only: a component may
     # reuse the column of another split with as many levels
     "wrong-split": (
@@ -114,8 +120,6 @@ MUTANTS = {
     "dropped-coefficient": (
         "enumerate(bracket_eval(alg, e, f))", "enumerate(bracket_eval(alg, e, f)) if k"
     ),
-    # the scan of B stops after the first bracket of each row
-    "first-bracket-only": ("if len(top) == count:", "if True:"),
     # each split's column decoded through another component's levels
     "reversed-columns": ("for c in reps)))", "for c in reps[::-1])))"),
 }
@@ -205,6 +209,21 @@ def test_oracle_matches_ladder_on_mixed_brackets(request, name):
         K = bracket_product_oracle(A, B)
         assert first_difference(bracket_product(A, B), K) is None
     assert not is_trivial(K)
+
+
+def test_oracle_memory_stays_linear_in_the_carrier(osp12_F3):
+    """osp(1|2) is perfect, so its rows hold many distinct brackets: a
+    memo of reduced codes kept across rows grows toward |V|^2 entries
+    (3.6 MB traced), one kept per row stays O(|V|)."""
+    for A, B in seeded_pairs(osp12_F3, 3)[1:]:
+        bracket_product_oracle(A, B)  # fill the carrier caches first
+        tracemalloc.start()
+        try:
+            bracket_product_oracle(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_oracle_does_not_read_through_the_ladder_decoder(H, monkeypatch):

@@ -127,3 +127,9 @@ def test_time_kernels_writes_the_spec_files_it_parses(tmp_path):
     # every nonzero vector of the per-vector file has its own degree
     per_vector = parse_spec((tmp_path / "specs" / "F5_5-per-vector.spec").read_text()).sets
     assert len({d for S in per_vector.values() for d in S.cifset.table.values()}) == 2 * (known["F5^5"].size - 1) + 1
+
+
+def test_time_kernels_times_the_fixture_osp12(osp12_F3):
+    """The script's osp12 is the osp(1|2)/F_3 fixture, the one perfect
+    algebra it times."""
+    assert import_time_kernels().algebras()["osp12"] == osp12_F3

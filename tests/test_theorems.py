@@ -159,6 +159,15 @@ def test_catalog_on_mixed_brackets(request, name):
     assert [tid for tid in THEOREM_IDS if not check_theorem(tid, cfg, 2).passed] == []
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("name", ["osp12_F3", "gl11_F3", "gl11_F5"])
+def test_negative_controls_fire_on_mixed_brackets(request, name, seed):
+    """On these algebras the brackets of two arbitrary sets and of their
+    arbitrary subsets often reach the same cuts, so the reversed lem-1
+    control cuts its smaller pair from graded subspaces to fire."""
+    assert negative_controls(make_config(seed, request.getfixturevalue(name)), 20).passed
+
+
 GUARD_SPEC = """\
 field 3
 space H dim 2 parity 0 1
